@@ -23,10 +23,7 @@ LN2 = math.log(2.0)
 def _xlog2x(p: np.ndarray) -> np.ndarray:
     """Elementwise p * log2(p) with the 0 * log 0 = 0 convention."""
     p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
-    positive = p > 0.0
-    out[positive] = p[positive] * np.log2(p[positive])
-    return out
+    return p * np.log2(p, out=np.zeros_like(p), where=p > 0.0)
 
 
 def _clamp_probabilities(p: np.ndarray) -> np.ndarray:
@@ -172,6 +169,20 @@ def measured_mutual_information(ensemble: Ensemble, basis: MeasurementBasis) -> 
     mixture = probs @ priors
     h_mixture = entropy_bits(mixture)
     h_conditional = float(priors @ (-_xlog2x(_clamp_probabilities(probs)).sum(axis=0)))
+    return h_mixture - h_conditional
+
+
+def mutual_information(probs: np.ndarray, priors: np.ndarray) -> np.ndarray:
+    """Shannon mutual information, in bits, over leading batch axes.
+
+    probs[..., outcome, letter] are the outcome probabilities of each letter
+    and priors[..., letter] the letter weights; the result has the leading
+    shape.  No clamping or completeness check: inputs must already be
+    nonnegative (squared amplitudes, for instance).
+    """
+    mixture = (probs @ priors[..., None])[..., 0]
+    h_mixture = -_xlog2x(mixture).sum(axis=-1)
+    h_conditional = (priors * -_xlog2x(probs).sum(axis=-2)).sum(axis=-1)
     return h_mixture - h_conditional
 
 

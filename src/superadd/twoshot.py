@@ -15,6 +15,7 @@ capacity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -22,7 +23,8 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
-from .capacities import Ensemble, RateResult, c1, measured_mutual_information, _xlog2x
+from .capacities import LN2, Ensemble, RateResult, c1, _xlog2x
+from .capacities import measured_mutual_information, mutual_information
 from .errors import BracketingError
 from .statespace import Angle, MeasurementBasis, two_shot_alphabet
 
@@ -52,6 +54,41 @@ def _givens_pairs(dim: int) -> tuple[tuple[int, int], ...]:
     )
 
 
+@functools.cache
+def _givens_layout(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Factor index and plane rows of each Givens factor, and the identity
+    stack, padded to a power of two, that _givens_product fills."""
+    pairs = _givens_pairs(dim)
+    rows, cols = np.array(pairs, dtype=int).reshape(len(pairs), 2).T
+    size = 1 << max(len(pairs) - 1, 0).bit_length()
+    layout = (np.arange(len(pairs)), rows, cols, np.eye(dim)[None].repeat(size, axis=0))
+    for part in layout:
+        part.flags.writeable = False  # shared by every caller
+    return layout
+
+
+def _givens_product(angles: np.ndarray, dim: int = 4) -> np.ndarray:
+    """Rotation matrices G_0 G_1 ... G_{n-1} over the leading axes of
+    angles[..., n], where G_k turns the plane _givens_pairs(dim)[k] = (i, j)
+    by angles[..., k] (row i -> c row_i - s row_j, row j -> s row_i + c row_j);
+    the result has shape angles.shape[:-1] + (dim, dim).
+
+    The factors, padded with identities to a power of two, are multiplied
+    pairwise, so the product takes log2(n) batched matmul calls.
+    """
+    angles = np.asarray(angles, dtype=float)
+    index, rows, cols, identities = _givens_layout(dim)
+    factors = np.broadcast_to(identities, angles.shape[:-1] + identities.shape).copy()
+    c, s = np.cos(angles), np.sin(angles)
+    factors[..., index, rows, rows] = c
+    factors[..., index, cols, cols] = c
+    factors[..., index, rows, cols] = -s
+    factors[..., index, cols, rows] = s
+    while factors.shape[-3] > 1:
+        factors = factors[..., 0::2, :, :] @ factors[..., 1::2, :, :]
+    return factors[..., 0, :, :]
+
+
 @dataclass(frozen=True)
 class RotationParams:
     """dim(dim-1)/2 plane-rotation angles composing an orthogonal matrix.
@@ -73,13 +110,7 @@ class RotationParams:
             raise ValueError(f"need {expected} angles for dimension {self.dim}, got {len(angles)}")
 
     def matrix(self) -> np.ndarray:
-        out = np.eye(self.dim)
-        for (i, j), t in zip(reversed(_givens_pairs(self.dim)), reversed(self.angles)):
-            c, s = math.cos(t), math.sin(t)
-            row_i, row_j = out[i].copy(), out[j]
-            out[i] = c * row_i - s * row_j
-            out[j] = s * row_i + c * row_j
-        return out
+        return _givens_product(np.array(self.angles), self.dim)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "RotationParams":
@@ -269,18 +300,18 @@ def optimize_r2(gamma: Angle, config: AnsatzSearchConfig = DEFAULT_ANSATZ_SEARCH
 
 @dataclass(frozen=True)
 class GeneralSearchConfig:
-    """Annealing-plus-descent settings for the unconstrained probe."""
+    """Annealing-plus-gradient-polish settings for the unconstrained probe."""
 
-    restarts: int = 20
+    restarts: int = 20  # annealing chains, advanced together
     cooling: float = 0.97  # geometric temperature factor per level
     temperature_samples: int = 100  # initial temperature from this many random rates
     levels: int = 100
     proposals_per_level: int = 12
     step_scale: float = 0.35
     polish_candidates: int = 6
-    nm_xatol: float = 1e-9
-    nm_fatol: float = 1e-10
-    nm_maxiter: int = 6000
+    polish_maxiter: int = 500  # L-BFGS-B iterations per polished candidate
+    polish_ftol: float = 1e-13  # rate tolerance of the polish
+    polish_gtol: float = 1e-10  # gradient tolerance of the polish
 
     def hyperparams(self) -> dict[str, float]:
         return {
@@ -290,42 +321,66 @@ class GeneralSearchConfig:
             "levels": float(self.levels),
             "proposals_per_level": float(self.proposals_per_level),
             "step_scale": self.step_scale,
-            "nm_fatol": self.nm_fatol,
+            "polish_ftol": self.polish_ftol,
         }
 
 
 DEFAULT_GENERAL_SEARCH = GeneralSearchConfig()
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    w = np.exp(shifted)
-    return w / w.sum()
-
-
 def _letters_matrix(gamma: Angle) -> np.ndarray:
     return np.vstack([s.coords for s in two_shot_alphabet(gamma)])
 
 
-def _general_rate(theta: np.ndarray, letters: np.ndarray, pairs) -> float:
-    """Rate of an arbitrary four-outcome measurement and four-letter prior.
+def _general_priors(theta: np.ndarray) -> np.ndarray:
+    """Letter priors: the softmax of the logits (0, theta[..., 6:9])."""
+    logits = np.concatenate([np.zeros(theta.shape[:-1] + (1,)), theta[..., 6:9]], axis=-1)
+    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
-    theta[:6] are plane-rotation angles (rows of the rotation are the
-    measurement vectors), theta[6:9] are prior logits relative to letter a.
+
+def _general_rates(theta: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """Rates of arbitrary four-outcome measurements and four-letter priors,
+    over the leading axes of theta[..., 9].
+
+    theta[..., :6] are plane-rotation angles (rows of the rotation are the
+    measurement vectors), theta[..., 6:9] are prior logits relative to
+    letter a.
     """
-    rotation = np.eye(4)
-    for (i, j), t in zip(reversed(pairs), theta[5::-1]):
-        c, s = math.cos(t), math.sin(t)
-        row_i = rotation[i].copy()
-        row_j = rotation[j]
-        rotation[i] = c * row_i - s * row_j
-        rotation[j] = s * row_i + c * row_j
-    priors = _softmax(np.concatenate(([0.0], theta[6:9])))
-    probs = (rotation @ letters.T) ** 2  # (outcome, letter)
+    probs = (_givens_product(theta[..., :6]) @ letters.T) ** 2  # (..., outcome, letter)
+    return mutual_information(probs, _general_priors(theta)) / 2.0
+
+
+def _rate_and_gradient(theta: np.ndarray, letters: np.ndarray) -> tuple[float, np.ndarray]:
+    """_general_rates at one theta[9], with its closed-form gradient.
+
+    With amplitudes A = U L^T, U = G_0 ... G_5 and P = A^2, dI/dP_kx = pi_x
+    log2(P_kx / m_k) and dI/dpi_x = sum_k P_kx (log2(P_kx / m_k) - 1/ln 2).
+    Since dG_k/dt = G_k J_k with J_k the generator of plane (i, j), angle k
+    gets dI/dt_k = (V_k^T K V_k)[i, j], where V_k = G_0 ... G_k is a prefix
+    product (the suffix G_{k+1} ... G_5 is V_k^T U) and K = A W^T - W A^T for
+    W = dI/dA = 2 A dI/dP.  The logit derivatives chain dI/dpi through the
+    softmax.
+    """
+    # row k keeps angles 0..k, so the batch holds V_0 ... V_5 = U
+    prefixes = _givens_product(np.where(np.tri(6, dtype=bool), theta[:6], 0.0))
+    amps = prefixes[-1] @ letters.T  # (outcome, letter)
+    probs = amps**2
+    priors = _general_priors(theta)
+    value = float(mutual_information(probs, priors)) / 2.0
+
     mixture = probs @ priors
-    h_mixture = float(-_xlog2x(mixture).sum())
-    h_conditional = float(priors @ (-_xlog2x(probs)).sum(axis=0))
-    return (h_mixture - h_conditional) / 2.0
+    live = (probs > 0.0) & (mixture[:, None] > 0.0)
+    ratio = np.divide(probs, mixture[:, None], out=np.ones_like(probs), where=live)
+    log_ratio = np.log2(ratio)  # zero where P_kx or m_k vanishes, whose terms drop out
+    d_priors = (probs * (log_ratio - 1.0 / LN2)).sum(axis=0)
+    d_logits = priors * (d_priors - priors @ d_priors)
+
+    d_amps = 2.0 * amps * priors * log_ratio
+    skew = amps @ d_amps.T - d_amps @ amps.T
+    index, rows, cols, _ = _givens_layout(4)
+    d_angles = np.einsum("ka,ab,kb->k", prefixes[index, :, rows], skew, prefixes[index, :, cols])
+    return value, np.concatenate([d_angles, d_logits[1:]]) / 2.0
 
 
 def _product_measurement_start(gamma: Angle) -> np.ndarray:
@@ -359,21 +414,32 @@ def _ansatz_start(gamma: Angle, ansatz: RateResult) -> np.ndarray:
     return np.concatenate([angles, logits])
 
 
-def _anneal(fun, x0: np.ndarray, rng: np.random.Generator, t0: float,
-            config: GeneralSearchConfig) -> tuple[np.ndarray, float]:
-    x = x0.copy()
-    f = fun(x)
-    best_x, best_f = x.copy(), f
+def _random_thetas(rng: np.random.Generator, count: int) -> np.ndarray:
+    return np.concatenate(
+        [rng.uniform(0.0, 2.0 * math.pi, (count, 6)), rng.normal(0.0, 1.5, (count, 3))], axis=1
+    )
+
+
+def _anneal_lockstep(x: np.ndarray, letters: np.ndarray, rng: np.random.Generator,
+                     t0: float, config: GeneralSearchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Metropolis chains from the rows of x[R, 9], advanced in lockstep: one
+    batched rate call per proposal step, acceptance decided row by row.
+    Returns each chain's best point and rate."""
+    f = _general_rates(x, letters)
+    best_x, best_f = x.copy(), f.copy()
     temperature = t0
     for _ in range(config.levels):
-        scale = config.step_scale * max(temperature / t0, 0.05) if t0 > 0 else 0.05
+        scale = config.step_scale * max(temperature / t0, 0.05)
         for _ in range(config.proposals_per_level):
-            candidate = x + rng.normal(scale=scale, size=x.size)
-            fc = fun(candidate)
-            if fc >= f or (temperature > 0 and rng.random() < math.exp((fc - f) / temperature)):
-                x, f = candidate, fc
-                if f > best_f:
-                    best_x, best_f = x.copy(), f
+            candidate = x + rng.normal(scale=scale, size=x.shape)
+            fc = _general_rates(candidate, letters)
+            chance = np.exp(np.minimum(fc - f, 0.0) / temperature)
+            accept = (fc >= f) | (rng.random(f.size) < chance)
+            x = np.where(accept[:, None], candidate, x)
+            f = np.where(accept, fc, f)
+            improved = f > best_f
+            best_x = np.where(improved[:, None], x, best_x)
+            best_f = np.where(improved, f, best_f)
         temperature *= config.cooling
     return best_x, best_f
 
@@ -383,70 +449,53 @@ def optimize_general(gamma: Angle, seed: int,
     """Lower-bound probe over every four-outcome von Neumann measurement and
     every prior on the four letters.
 
-    Seeded simulated annealing restarts (two of them warm-started from the
-    product measurement and from the symmetric-family optimum, so the result
-    can only improve on both) followed by Nelder-Mead descent on the best
-    candidates.  The value is a lower bound on the two-shot capacity, nothing
-    more: the parameterization covers rotations only up to projector sign,
-    which is enough because outcomes are rank one.
+    Seeded simulated annealing of all restarts in lockstep (two of them
+    warm-started from the product measurement and from the symmetric-family
+    optimum), then L-BFGS-B on the closed-form gradient from the best
+    annealed points and from both warm starts, so the result can only improve
+    on both.  converged is the success flag of the polish run that gave the
+    returned optimum.  The value is a lower bound on the two-shot capacity,
+    nothing more: the parameterization covers rotations only up to projector
+    sign, which is enough because outcomes are rank one.
     """
     _check_open_range(gamma)
     letters = _letters_matrix(gamma)
-    pairs = _givens_pairs(4)
-
-    def objective(theta: np.ndarray) -> float:
-        return _general_rate(theta, letters, pairs)
-
     ansatz = optimize_r2(gamma)
-    starts = [_product_measurement_start(gamma), _ansatz_start(gamma, ansatz)]
+    starts = np.array([_product_measurement_start(gamma), _ansatz_start(gamma, ansatz)])
 
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(config.restarts + 1)
-    sampler = np.random.default_rng(children[-1])
-    samples = [
-        objective(np.concatenate([sampler.uniform(0.0, 2.0 * math.pi, 6), sampler.normal(0.0, 1.5, 3)]))
-        for _ in range(config.temperature_samples)
-    ]
+    rng = np.random.default_rng(seed)
+    samples = _general_rates(_random_thetas(rng, config.temperature_samples), letters)
     t0 = max(float(np.std(samples)), 1e-12)
+    warm = starts[: config.restarts]
+    x0 = np.concatenate([warm, _random_thetas(rng, config.restarts - len(warm))])
+    annealed, annealed_f = _anneal_lockstep(x0, letters, rng, t0, config)
+    evaluations = (config.temperature_samples
+                   + config.restarts * (1 + config.levels * config.proposals_per_level))
 
-    candidates = []
-    evaluations = config.temperature_samples
-    for k in range(config.restarts):
-        rng = np.random.default_rng(children[k])
-        if k < len(starts):
-            x0 = starts[k]
-        else:
-            x0 = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 6), rng.normal(0.0, 1.5, 3)])
-        x, f = _anneal(objective, x0, rng, t0, config)
-        evaluations += 1 + config.levels * config.proposals_per_level
-        candidates.append((f, x))
+    def negative_rate(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        value, gradient = _rate_and_gradient(theta, letters)
+        return -value, -gradient
 
-    candidates.sort(key=lambda pair: -pair[0])
-    polish = [x for _, x in candidates[: config.polish_candidates]] + starts
-    best_f, best_x = -np.inf, None
-    for x0 in polish:
-        result = minimize(
-            lambda th: -objective(th),
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": config.nm_xatol, "fatol": config.nm_fatol,
-                     "maxiter": config.nm_maxiter, "maxfev": config.nm_maxiter},
-        )
-        evaluations += int(result.nfev)
-        if -result.fun > best_f:
-            best_f, best_x = -float(result.fun), result.x
+    order = np.argsort(-annealed_f, kind="stable")[: config.polish_candidates]
+    options = {"maxiter": config.polish_maxiter, "ftol": config.polish_ftol,
+               "gtol": config.polish_gtol}
+    polished = [minimize(negative_rate, x, jac=True, method="L-BFGS-B", options=options)
+                for x in [*annealed[order], *starts]]
+    evaluations += sum(int(result.nfev) for result in polished)
+    best = min(polished, key=lambda result: result.fun)  # the first of equal optima
 
-    priors = _softmax(np.concatenate(([0.0], best_x[6:9])))
+    best_x = best.x
+    priors = _general_priors(best_x)
     params = {f"theta_{i}": float(best_x[i]) for i in range(6)}
     params.update({name: float(w) for name, w in zip(("p_a", "p_b", "p_c", "p_d"), priors)})
     hyper = config.hyperparams()
     hyper["initial_temperature"] = t0
     hyper["seed"] = float(seed)
     return RateResult(
-        bits_per_transmission=best_f,
+        bits_per_transmission=-float(best.fun),
         params=params,
         iterations=evaluations,
-        converged=True,
+        converged=bool(best.success),
         hyperparams=hyper,
     )
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,9 +9,14 @@ from hypothesis import strategies as st
 from superadd.capacities import Ensemble, c1, c_infinity, measured_mutual_information
 from superadd.errors import BracketingError
 from superadd.statespace import Angle, MeasurementBasis, two_shot_alphabet
+from superadd import twoshot
 from superadd.twoshot import (
     AnsatzParams,
+    GeneralSearchConfig,
     RotationParams,
+    _general_rates,
+    _letters_matrix,
+    _rate_and_gradient,
     _rate_grid,
     ansatz_basis,
     crossover_angle,
@@ -184,11 +190,103 @@ class TestOptimizeGeneral:
         priors = [first.params[k] for k in ("p_a", "p_b", "p_c", "p_d")]
         assert sum(priors) == pytest.approx(1.0, abs=1e-12)
 
+    def test_seeded_runs_are_bit_for_bit(self, monkeypatch):
+        first = optimize_general(deg(10), seed=4)
+        counted = {"evals": 0}
+
+        def counting(fn, rows):
+            def wrapped(theta, letters):
+                counted["evals"] += rows(theta)
+                return fn(theta, letters)
+            return wrapped
+
+        monkeypatch.setattr(twoshot, "_general_rates",
+                            counting(_general_rates, lambda theta: theta[..., 0].size))
+        monkeypatch.setattr(twoshot, "_rate_and_gradient",
+                            counting(_rate_and_gradient, lambda theta: 1))
+        second = optimize_general(deg(10), seed=4)
+        assert first.bits_per_transmission == second.bits_per_transmission
+        assert first.params == second.params
+        assert first.iterations == second.iterations == counted["evals"]
+        # the value is the kernel at the returned parameters
+        p = [first.params[k] for k in ("p_a", "p_b", "p_c", "p_d")]
+        theta = [first.params[f"theta_{i}"] for i in range(6)] + [math.log(w / p[0]) for w in p[1:]]
+        value = _general_rates(np.array(theta), _letters_matrix(deg(10)))
+        assert first.bits_per_transmission == pytest.approx(value, abs=1e-14)
+
+    def test_converged_false_when_polish_is_capped(self):
+        quick = dict(restarts=2, levels=2, proposals_per_level=2)
+        capped = optimize_general(deg(10), seed=4, config=GeneralSearchConfig(**quick, polish_maxiter=1))
+        assert not capped.converged
+        assert optimize_general(deg(10), seed=4, config=GeneralSearchConfig(**quick)).converged
+
     def test_hyperparameters_recorded(self):
         result = optimize_general(deg(40), seed=3)
         assert result.hyperparams["cooling"] == 0.97
         assert result.hyperparams["restarts"] == 20.0
         assert result.hyperparams["initial_temperature"] > 0
+
+
+def random_thetas(rng, count):
+    """Rotation angles and prior logits; the first row has every angle zero,
+    so the measurement is the standard basis and some outcome probabilities
+    vanish, and letter d at logit -40, effectively off."""
+    thetas = np.concatenate(
+        [rng.uniform(0.0, 2.0 * math.pi, (count, 6)), rng.normal(0.0, 1.5, (count, 3))], axis=1
+    )
+    thetas[0] = [0.0] * 6 + [0.3, -0.2, -40.0]
+    return thetas
+
+
+def explicit_rotation(angles):
+    """G_0 G_1 ... G_5 from full 4x4 plane rotations in the order of
+    RotationParams."""
+    pairs = [(2, 3), (1, 2), (0, 1), (2, 3), (1, 2), (2, 3)]
+    factors = []
+    for (i, j), t in zip(pairs, angles):
+        g = np.eye(4)
+        g[i, i] = g[j, j] = math.cos(t)
+        g[i, j], g[j, i] = -math.sin(t), math.sin(t)
+        factors.append(g)
+    return functools.reduce(np.matmul, factors)
+
+
+class TestGeneralRateKernel:
+    def test_batched_rates_match_object_path(self):
+        rng = np.random.default_rng(41)
+        for gamma_deg in (0.5, 10.0, 47.0, 89.0):
+            gamma = deg(gamma_deg)
+            letters = two_shot_alphabet(gamma)
+            thetas = random_thetas(rng, 12)
+            rates = _general_rates(thetas, _letters_matrix(gamma))
+            for theta, fast in zip(thetas, rates):
+                rotation = RotationParams(tuple(theta[:6])).matrix()
+                assert np.abs(rotation - explicit_rotation(theta[:6])).max() < 1e-14
+                weights = np.exp(np.concatenate([[0.0], theta[6:]]))
+                ensemble = Ensemble(tuple(zip(weights / weights.sum(), letters)))
+                slow = measured_mutual_information(ensemble, MeasurementBasis.from_rows(rotation)) / 2
+                assert fast == pytest.approx(slow, abs=1e-13)
+
+    def test_batch_and_row_agree(self):
+        rng = np.random.default_rng(43)
+        letters = _letters_matrix(deg(12))
+        thetas = random_thetas(rng, 24)
+        batch = _general_rates(thetas.reshape(4, 6, 9), letters).ravel()
+        rows = np.array([_general_rates(theta, letters) for theta in thetas])
+        assert np.abs(batch - rows).max() <= 1e-15
+
+    def test_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(47)
+        step = 1e-6
+        for gamma_deg in (3.0, 20.0, 70.0):
+            letters = _letters_matrix(deg(gamma_deg))
+            for theta in random_thetas(rng, 8):
+                value, gradient = _rate_and_gradient(theta, letters)
+                assert value == pytest.approx(_general_rates(theta, letters), abs=1e-15)
+                shifts = step * np.eye(9)
+                central = (_general_rates(theta + shifts, letters)
+                           - _general_rates(theta - shifts, letters)) / (2 * step)
+                assert np.abs(gradient - central).max() < 1e-7
 
 
 class TestSuperadditivityRegion:
