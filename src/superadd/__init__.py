@@ -32,11 +32,9 @@ from .errors import BracketingError, CompletenessError, ConditioningError
 from .mcsim import JointCounts, SimConfig, bootstrap_standard_error, empirical_mi, simulate
 from .statespace import (
     Angle,
-    GramMatrix,
     MeasurementBasis,
     StateVector,
     embed_alphabet,
-    gram_matrix,
     lowdin_orthogonalize,
     tensor,
     two_shot_alphabet,
@@ -60,7 +58,6 @@ __all__ = [
     "CompletenessError",
     "ConditioningError",
     "Ensemble",
-    "GramMatrix",
     "JointCounts",
     "MeasurementBasis",
     "RateResult",
@@ -77,7 +74,6 @@ __all__ = [
     "crossover_angle",
     "embed_alphabet",
     "empirical_mi",
-    "gram_matrix",
     "lowdin_orthogonalize",
     "measured_mutual_information",
     "optimize_general",

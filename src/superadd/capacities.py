@@ -165,11 +165,7 @@ def measured_mutual_information(ensemble: Ensemble, basis: MeasurementBasis) -> 
             f"basis incomplete on ensemble span: outcome probabilities sum to "
             f"1 +- {worst:.3e} (tolerance {COMPLETENESS_TOL:.0e})"
         )
-    priors = ensemble.priors
-    mixture = probs @ priors
-    h_mixture = entropy_bits(mixture)
-    h_conditional = float(priors @ (-_xlog2x(_clamp_probabilities(probs)).sum(axis=0)))
-    return h_mixture - h_conditional
+    return float(mutual_information(probs, ensemble.priors))
 
 
 def mutual_information(probs: np.ndarray, priors: np.ndarray) -> np.ndarray:
@@ -180,10 +176,13 @@ def mutual_information(probs: np.ndarray, priors: np.ndarray) -> np.ndarray:
     shape.  No clamping or completeness check: inputs must already be
     nonnegative (squared amplitudes, for instance).
     """
-    mixture = (probs @ priors[..., None])[..., 0]
+    # einsum's summation order is the one the pinned symmetric-family optimizer
+    # values depend on; matmul or sum() round differently in the last bit,
+    # which moves the Nelder-Mead paths.
+    mixture = np.einsum("...kx,...x->...k", probs, priors)
     h_mixture = -_xlog2x(mixture).sum(axis=-1)
-    h_conditional = (priors * -_xlog2x(probs).sum(axis=-2)).sum(axis=-1)
-    return h_mixture - h_conditional
+    h_letters = -_xlog2x(probs).sum(axis=-2)
+    return h_mixture - np.einsum("...x,...x->...", h_letters, priors)
 
 
 def ratio_curve(gammas):

@@ -11,9 +11,7 @@ numerical or bracketing failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable
 
 import numpy as np
@@ -30,8 +28,6 @@ EXIT_ARGS = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-THREADS_ENV = "SUPERADD_THREADS"
-
 POINT_CHOICES = ("c1", "cinf", "r2", "r2gen", "r2trunc")
 SWEEP_COLUMNS = ("c1", "cinf", "ratio", "r2", "diff", "r2_over_c1",
                  "r2trunc", "r2trunc_reused", "r2gen")
@@ -40,15 +36,6 @@ CROSSOVER_SETUPS: dict[str, tuple[Callable[[Angle], float], float, float]] = {
     "ansatz": (lambda g: twoshot.optimize_r2(g).bits_per_transmission, 15.0, 25.0),
     "truncated": (lambda g: coherent.optimize_r2_truncated(g).bits_per_transmission, 14.0, 20.0),
 }
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 def _angle(gamma_deg: float, open_interval: bool) -> Angle:
@@ -130,24 +117,17 @@ def sweep_table(from_deg: float, to_deg: float, steps: int, columns: Iterable[st
         raise ValueError(f"unknown sweep columns: {unknown}")
     grid = np.linspace(from_deg, to_deg, steps)
 
-    def row(deg: float) -> list[float]:
+    rows = []
+    for deg in grid:
         gamma = Angle.from_degrees(deg)
         cache: dict[str, float] = {}
-        return [_column_values(c, gamma, cache, seed) for c in columns]
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, grid))
-    else:
-        rows = [row(deg) for deg in grid]
+        rows.append([_column_values(c, gamma, cache, seed) for c in columns])
     data = np.array(rows)
-    search = twoshot.DEFAULT_ANSATZ_SEARCH
     provenance = (
         f"superadd sweep from={from_deg:g} to={to_deg:g} steps={steps} "
-        f"columns={','.join(columns)} seed={seed} eta_points={search.eta_points} "
-        f"p_points={search.p_points} nm_fatol={search.nm_fatol:g} "
-        f"threads={threads} version={__version__}"
+        f"columns={','.join(columns)} seed={seed} eta_points={twoshot.ETA_POINTS} "
+        f"p_points={twoshot.P_POINTS} nm_fatol={twoshot.NM_FATOL:g} "
+        f"version={__version__}"
     )
     return SweepTable(
         gamma_deg=grid,

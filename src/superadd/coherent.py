@@ -21,13 +21,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 
-from .capacities import Ensemble, RateResult, measured_mutual_information, _xlog2x
+from .capacities import Ensemble, RateResult, measured_mutual_information
 from .statespace import Angle, MeasurementBasis, StateVector, lowdin_orthogonalize, tensor
-from .twoshot import AnsatzSearchConfig, DEFAULT_ANSATZ_SEARCH, _check_open_range, optimize_r2
+from .twoshot import (ANSATZ_HYPERPARAMS, P_POINTS, SQRT2, _check_open_range, _grid_then_refine,
+                      _symmetric_prior_rates, optimize_r2)
 
-SQRT2 = math.sqrt(2.0)
 TWO_PHOTON = np.array([0.0, 0.0, 0.0, 1.0])
 
 
@@ -194,65 +194,30 @@ def _trunc_conditional_probs(gamma_rad: float, etas: np.ndarray) -> np.ndarray:
 
 
 def _trunc_rate_grid(gamma_rad: float, etas: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    probs = _trunc_conditional_probs(gamma_rad, etas)
-    priors = np.stack([ps, ps, 1.0 - 2.0 * ps], axis=-1)
-    mixture = np.einsum("gkx,px->gpk", probs, priors)
-    h_mixture = -_xlog2x(mixture).sum(axis=-1)
-    h_letters = -_xlog2x(probs).sum(axis=1)
-    h_conditional = np.einsum("gx,px->gp", h_letters, priors)
-    return (h_mixture - h_conditional) / 2.0
+    return _symmetric_prior_rates(_trunc_conditional_probs(gamma_rad, etas), ps)
 
 
-def optimize_r2_truncated(gamma: Angle, config: AnsatzSearchConfig = DEFAULT_ANSATZ_SEARCH) -> RateResult:
+def optimize_r2_truncated(gamma: Angle) -> RateResult:
     """Best clipped-basis rate, re-optimizing eta for the clipped scoring.
 
-    Same grid-then-refine protocol as the ideal family.  Re-optimizing eta
+    Same grid-then-refine search as the ideal family.  Re-optimizing eta
     after clipping can only raise the curve relative to reusing the ideal
     angle; the reused variant is available separately for comparison.
     """
-    g = _check_open_range(gamma)
-    etas = np.linspace(0.0, math.pi, config.eta_points, endpoint=False)
-    ps = np.linspace(0.0, 0.5, config.p_points)
-    grid = _trunc_rate_grid(g, etas, ps)
-    gi, pi = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    d_eta = math.pi / config.eta_points
-    d_p = 0.5 / (config.p_points - 1)
-    bounds = [
-        (etas[gi] - 2.0 * d_eta, etas[gi] + 2.0 * d_eta),
-        (max(0.0, ps[pi] - 2.0 * d_p), min(0.5, ps[pi] + 2.0 * d_p)),
-    ]
-
-    def negative_rate(x: np.ndarray) -> float:
-        return -_trunc_rate_grid(g, np.array([x[0]]), np.array([x[1]]))[0, 0]
-
-    result = minimize(
-        negative_rate,
-        np.array([etas[gi], ps[pi]]),
-        method="Nelder-Mead",
-        bounds=bounds,
-        options={"xatol": config.nm_xatol, "fatol": config.nm_fatol, "maxiter": config.nm_maxiter},
-    )
-    best = max(-float(result.fun), float(grid[gi, pi]))
-    return RateResult(
-        bits_per_transmission=best,
-        params={"eta": float(result.x[0]) % math.pi, "p": float(result.x[1])},
-        iterations=int(grid.size + result.nfev),
-        converged=bool(result.success),
-        hyperparams=config.hyperparams(),
-    )
+    return _grid_then_refine(_trunc_rate_grid, gamma)
 
 
-def optimize_r2_truncated_reused(gamma: Angle, config: AnsatzSearchConfig = DEFAULT_ANSATZ_SEARCH) -> RateResult:
+def optimize_r2_truncated_reused(gamma: Angle) -> RateResult:
     """Clipped-basis rate at the ideal family's optimal eta, optimizing the
     prior only."""
     g = _check_open_range(gamma)
-    ideal = optimize_r2(gamma, config)
+    ideal = optimize_r2(gamma)
     eta = ideal.params["eta"]
-    ps = np.linspace(0.0, 0.5, config.p_points)
+    ps = np.linspace(0.0, 0.5, P_POINTS)
     grid = _trunc_rate_grid(g, np.array([eta]), ps)[0]
     pi = int(np.argmax(grid))
-    lo = max(0.0, ps[pi] - 2.0 * (0.5 / (config.p_points - 1)))
-    hi = min(0.5, ps[pi] + 2.0 * (0.5 / (config.p_points - 1)))
+    lo = max(0.0, ps[pi] - 2.0 * (0.5 / (P_POINTS - 1)))
+    hi = min(0.5, ps[pi] + 2.0 * (0.5 / (P_POINTS - 1)))
     result = minimize_scalar(
         lambda p: -_trunc_rate_grid(g, np.array([eta]), np.array([p]))[0, 0],
         bounds=(lo, hi),
@@ -265,5 +230,5 @@ def optimize_r2_truncated_reused(gamma: Angle, config: AnsatzSearchConfig = DEFA
         params={"eta": eta, "p": float(result.x)},
         iterations=int(grid.size + result.nfev + ideal.iterations),
         converged=bool(result.success) and ideal.converged,
-        hyperparams=config.hyperparams(),
+        hyperparams=dict(ANSATZ_HYPERPARAMS),
     )

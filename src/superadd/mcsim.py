@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacities import COMPLETENESS_TOL, Ensemble, _xlog2x
+from .capacities import COMPLETENESS_TOL, LN2, Ensemble, _xlog2x
 from .statespace import MeasurementBasis
 
-LN2 = math.log(2.0)
 DEFAULT_BLOCK = 250_000
 
 

@@ -124,34 +124,9 @@ class MeasurementBasis:
         return len(self.vectors)
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Matrix of pairwise inner products; symmetric positive semidefinite."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = _frozen(self.entries)
-        object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("Gram matrix must be square")
-        if np.abs(entries - entries.T).max() > NORM_TOL:
-            raise ValueError("Gram matrix must be symmetric")
-        smallest = float(np.linalg.eigvalsh(entries)[0])
-        if smallest < -NORM_TOL:
-            raise ValueError(f"Gram matrix has negative eigenvalue {smallest}")
-        object.__setattr__(self, "smallest_eigenvalue", smallest)
-
-
 def _coerce_rows(vectors: Sequence) -> np.ndarray:
     rows = [v.coords if isinstance(v, StateVector) else np.asarray(v, dtype=float) for v in vectors]
     return np.vstack(rows)
-
-
-def gram_matrix(vectors: Sequence) -> GramMatrix:
-    """Pairwise inner products of the given vectors (StateVector or array)."""
-    rows = _coerce_rows(vectors)
-    return GramMatrix(rows @ rows.T)
 
 
 def embed_alphabet(gamma: Angle) -> tuple[StateVector, StateVector]:

@@ -23,12 +23,25 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
-from .capacities import LN2, Ensemble, RateResult, c1, _xlog2x
+from .capacities import LN2, Ensemble, RateResult, c1
 from .capacities import measured_mutual_information, mutual_information
 from .errors import BracketingError
 from .statespace import Angle, MeasurementBasis, two_shot_alphabet
 
 SQRT2 = math.sqrt(2.0)
+
+# Grid-then-refine settings of the symmetric family.
+ETA_POINTS = 240  # over [0, pi), the family's period
+P_POINTS = 101  # over [0, 0.5]
+NM_XATOL = 1e-8
+NM_FATOL = 1e-10  # rate tolerance of the local refinement
+NM_MAXITER = 4000
+ANSATZ_HYPERPARAMS = {
+    "eta_points": float(ETA_POINTS),
+    "p_points": float(P_POINTS),
+    "nm_xatol": NM_XATOL,
+    "nm_fatol": NM_FATOL,
+}
 
 
 @dataclass(frozen=True)
@@ -213,34 +226,14 @@ def _rate_grid(gamma_rad: float, etas: np.ndarray, ps: np.ndarray) -> np.ndarray
     probs[:, 2, 1] = amp_a3
     probs[:, 2, 2] = ce
     np.square(probs, out=probs)
+    return _symmetric_prior_rates(probs, ps)
+
+
+def _symmetric_prior_rates(probs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Rates [eta, p] from P[eta, outcome, letter] over the letters (a, b, c)
+    with priors (p, p, 1 - 2p)."""
     priors = np.stack([ps, ps, 1.0 - 2.0 * ps], axis=-1)  # (p, letter)
-    mixture = np.einsum("gkx,px->gpk", probs, priors)
-    h_mixture = -_xlog2x(mixture).sum(axis=-1)
-    h_letters = -_xlog2x(probs).sum(axis=1)  # (eta, letter)
-    h_conditional = np.einsum("gx,px->gp", h_letters, priors)
-    return (h_mixture - h_conditional) / 2.0
-
-
-@dataclass(frozen=True)
-class AnsatzSearchConfig:
-    """Grid-then-refine settings for the symmetric family."""
-
-    eta_points: int = 240  # over [0, pi), the family's period
-    p_points: int = 101  # over [0, 0.5]
-    nm_xatol: float = 1e-8
-    nm_fatol: float = 1e-10  # rate tolerance of the local refinement
-    nm_maxiter: int = 4000
-
-    def hyperparams(self) -> dict[str, float]:
-        return {
-            "eta_points": float(self.eta_points),
-            "p_points": float(self.p_points),
-            "nm_xatol": self.nm_xatol,
-            "nm_fatol": self.nm_fatol,
-        }
-
-
-DEFAULT_ANSATZ_SEARCH = AnsatzSearchConfig()
+    return mutual_information(probs[:, None], priors) / 2.0
 
 
 def _check_open_range(gamma: Angle) -> float:
@@ -249,49 +242,53 @@ def _check_open_range(gamma: Angle) -> float:
     return gamma.radians
 
 
-def optimize_r2(gamma: Angle, config: AnsatzSearchConfig = DEFAULT_ANSATZ_SEARCH) -> RateResult:
-    """Best symmetric-family rate at the given overlap angle.
+def _grid_then_refine(rate_grid: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
+                      gamma: Angle) -> RateResult:
+    """Maximize rate_grid(gamma_rad, etas, ps)[eta, p] over (eta, p).
 
     Coarse (eta, p) grid followed by Nelder-Mead refinement from the best
-    cell, bounded to its neighborhood.  Deterministic for a fixed config;
-    exact grid ties resolve to the smallest eta, then smallest p (row-major
-    argmax order).
+    cell, bounded to its neighborhood.  Exact grid ties resolve to the
+    smallest eta, then smallest p (row-major argmax order).
     """
     g = _check_open_range(gamma)
-    etas = np.linspace(0.0, math.pi, config.eta_points, endpoint=False)
-    ps = np.linspace(0.0, 0.5, config.p_points)
-    grid = _rate_grid(g, etas, ps)
+    etas = np.linspace(0.0, math.pi, ETA_POINTS, endpoint=False)
+    ps = np.linspace(0.0, 0.5, P_POINTS)
+    grid = rate_grid(g, etas, ps)
     gi, pi = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    d_eta = math.pi / config.eta_points
-    d_p = 0.5 / (config.p_points - 1)
+    d_eta = math.pi / ETA_POINTS
+    d_p = 0.5 / (P_POINTS - 1)
     bounds = [
         (etas[gi] - 2.0 * d_eta, etas[gi] + 2.0 * d_eta),
         (max(0.0, ps[pi] - 2.0 * d_p), min(0.5, ps[pi] + 2.0 * d_p)),
     ]
 
     def negative_rate(x: np.ndarray) -> float:
-        return -_rate_grid(g, np.array([x[0]]), np.array([x[1]]))[0, 0]
+        return -rate_grid(g, np.array([x[0]]), np.array([x[1]]))[0, 0]
 
     result = minimize(
         negative_rate,
         np.array([etas[gi], ps[pi]]),
         method="Nelder-Mead",
         bounds=bounds,
-        options={
-            "xatol": config.nm_xatol,
-            "fatol": config.nm_fatol,
-            "maxiter": config.nm_maxiter,
-        },
+        options={"xatol": NM_XATOL, "fatol": NM_FATOL, "maxiter": NM_MAXITER},
     )
     best = max(-float(result.fun), float(grid[gi, pi]))
-    eta_star = float(result.x[0]) % math.pi
     return RateResult(
         bits_per_transmission=best,
-        params={"eta": eta_star, "p": float(result.x[1])},
+        params={"eta": float(result.x[0]) % math.pi, "p": float(result.x[1])},
         iterations=int(grid.size + result.nfev),
         converged=bool(result.success),
-        hyperparams=config.hyperparams(),
+        hyperparams=dict(ANSATZ_HYPERPARAMS),
     )
+
+
+def optimize_r2(gamma: Angle) -> RateResult:
+    """Best symmetric-family rate at the given overlap angle.
+
+    A dense (eta, p) grid, then Nelder-Mead from the best cell (see
+    _grid_then_refine); deterministic.
+    """
+    return _grid_then_refine(_rate_grid, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -112,17 +112,6 @@ class TestSweep:
         run_cli(args + ["--out", str(second)], capsys)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_thread_env_does_not_change_output(self, tmp_path, capsys, monkeypatch):
-        serial, threaded = tmp_path / "s.csv", tmp_path / "t.csv"
-        args = ["sweep", "--from", "8", "--to", "16", "--steps", "5",
-                "--columns", "c1,cinf,ratio"]
-        run_cli(args + ["--out", str(serial)], capsys)
-        monkeypatch.setenv(cli.THREADS_ENV, "2")
-        run_cli(args + ["--out", str(threaded)], capsys)
-        serial_lines = serial.read_text().splitlines()[1:]
-        threaded_lines = threaded.read_text().splitlines()[1:]
-        assert serial_lines == threaded_lines  # provenance echoes the thread count
-
     def test_bad_grid_arguments(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
         assert run_cli(["sweep", "--from", "10", "--to", "20", "--steps", "1",

@@ -156,3 +156,24 @@ class TestTruncatedRate:
             ideal = optimize_r2(gamma).bits_per_transmission
             assert clipped <= ideal + 1e-12
             assert ideal <= c_infinity(gamma) + 1e-9
+
+
+# Optimizer values at fixed angles, so that a refactor of the grid searches
+# cannot move them unnoticed; the reused variant fixes eta only to
+# Nelder-Mead's xatol, hence its looser tolerance.
+PINNED_RATES = [
+    (0.5, 5.6479843673573615e-05, 5.6479656941332834e-05, 5.647965693500456e-05),
+    (5.0, 0.0056295759142133694, 0.005627695684001677, 0.005627689641106326),
+    (18.7, 0.07547459820783087, 0.07507122072346895, 0.07505680528059744),
+    (45.0, 0.35900954450740175, 0.33739515372104, 0.33561359271863284),
+    (80.0, 0.7493777639265274, 0.4691752137790235, 0.4646923631674216),
+]
+
+
+@pytest.mark.parametrize("gamma_deg, r2, r2trunc, r2trunc_reused", PINNED_RATES)
+def test_optimizer_values_pinned(gamma_deg, r2, r2trunc, r2trunc_reused):
+    g = deg(gamma_deg)
+    assert optimize_r2(g).bits_per_transmission == pytest.approx(r2, rel=0, abs=1e-13)
+    assert optimize_r2_truncated(g).bits_per_transmission == pytest.approx(r2trunc, rel=0, abs=1e-13)
+    assert (optimize_r2_truncated_reused(g).bits_per_transmission
+            == pytest.approx(r2trunc_reused, rel=0, abs=1e-9))

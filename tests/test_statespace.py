@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from superadd.errors import ConditioningError
 from superadd.statespace import (
     Angle,
-    GramMatrix,
     MeasurementBasis,
     StateVector,
     embed_alphabet,
-    gram_matrix,
     lowdin_orthogonalize,
     tensor,
     two_shot_alphabet,
@@ -101,7 +99,8 @@ class TestTwoShotAlphabet:
         for d in np.linspace(5.0, 85.0, 17):
             a, b, c, dd = two_shot_alphabet(deg(d))
             cg = math.cos(math.radians(d))
-            gram = gram_matrix([a, b, c, dd]).entries
+            rows = np.vstack([s.coords for s in (a, b, c, dd)])
+            gram = rows @ rows.T
             expected = np.array(
                 [
                     [1.0, cg * cg, cg, cg],
@@ -140,20 +139,6 @@ class TestMeasurementBasisInvariants:
     def test_complete_basis_accepted(self):
         basis = MeasurementBasis.from_rows(np.eye(3))
         assert len(basis) == 3 and basis.dim == 3
-
-
-class TestGramMatrix:
-    def test_requires_symmetry(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            GramMatrix(np.array([[1.0, 0.2], [0.1, 1.0]]))
-
-    def test_requires_positive_semidefinite(self):
-        with pytest.raises(ValueError, match="eigenvalue"):
-            GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_reports_smallest_eigenvalue(self):
-        g = GramMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        assert g.smallest_eigenvalue == pytest.approx(0.5, abs=1e-12)
 
 
 class TestLowdin:
