@@ -16,7 +16,6 @@ from .capacities import (
     c1,
     c_infinity,
     measured_mutual_information,
-    ratio_curve,
 )
 from .coherent import (
     CoherentAlphabet,
@@ -83,7 +82,6 @@ __all__ = [
     "photon_basis",
     "rate",
     "rate_truncated",
-    "ratio_curve",
     "simulate",
     "tensor",
     "truncated_orthonormal_basis",

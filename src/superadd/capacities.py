@@ -184,22 +184,3 @@ def mutual_information(probs: np.ndarray, priors: np.ndarray) -> np.ndarray:
     h_letters = -_xlog2x(probs).sum(axis=-2)
     return h_mixture - np.einsum("...x,...x->...", h_letters, priors)
 
-
-def ratio_curve(gammas):
-    """Sweep of (c1, c_infinity, ratio) over the given overlap angles.
-
-    The ratio c_infinity/c1 shrinks toward 1 as the states approach
-    orthogonality and grows without bound as the overlap angle vanishes, so
-    gamma = 0 is rejected.
-    """
-    from .sweeps import SweepTable
-
-    angles = list(gammas)
-    if any(g.radians <= 0.0 for g in angles):
-        raise ValueError("ratio is undefined at gamma = 0 (0/0)")
-    ones = np.array([c1(g) for g in angles])
-    infs = np.array([c_infinity(g) for g in angles])
-    return SweepTable(
-        gamma_deg=np.array([g.degrees for g in angles]),
-        columns={"c1": ones, "cinf": infs, "ratio": infs / ones},
-    )

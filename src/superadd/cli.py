@@ -18,9 +18,9 @@ import numpy as np
 
 from . import __version__
 from . import coherent, mcsim, twoshot
-from .capacities import Ensemble, c1, c_infinity
+from .capacities import RateResult, c1, c_infinity
 from .errors import BracketingError, CompletenessError, ConditioningError
-from .statespace import Angle, two_shot_alphabet
+from .statespace import Angle
 from .sweeps import SweepTable
 
 EXIT_OK = 0
@@ -46,62 +46,53 @@ def _angle(gamma_deg: float, open_interval: bool) -> Angle:
     return Angle.from_degrees(gamma_deg)
 
 
+# Every quantity at one angle, from (gamma, seed): a capacity, or the result
+# of an optimizer.  The lambdas look functions up at call time, so a replaced
+# module attribute (a monkeypatch, the benchmark's tracer) takes effect.
+_QUANTITIES: dict[str, Callable[[Angle, int], float | RateResult]] = {
+    "c1": lambda gamma, seed: c1(gamma),
+    "cinf": lambda gamma, seed: c_infinity(gamma),
+    "r2": lambda gamma, seed: twoshot.optimize_r2(gamma),
+    "r2trunc": lambda gamma, seed: coherent.optimize_r2_truncated(gamma),
+    "r2trunc_reused": lambda gamma, seed: coherent.optimize_r2_truncated_reused(gamma),
+    "r2gen": lambda gamma, seed: twoshot.optimize_general(gamma, seed=seed),
+}
+# Sweep columns derived from other columns, read through a cached getter.
+_DERIVED_COLUMNS: dict[str, Callable[[Callable[[str], float]], float]] = {
+    "ratio": lambda column: column("cinf") / column("c1"),
+    "diff": lambda column: column("r2") - column("c1"),
+    "r2_over_c1": lambda column: column("r2") / column("c1"),
+}
+
+
+def _value_and_params(result: float | RateResult) -> tuple[float, dict[str, float]]:
+    if isinstance(result, RateResult):
+        return result.bits_per_transmission, result.params
+    return result, {}
+
+
 def cmd_point(gamma_deg: float, which: str, seed: int = 0) -> int:
     """Print one requested quantity, then the optimizing parameters if any."""
-    needs_open = which not in ("c1", "cinf")
-    gamma = _angle(gamma_deg, open_interval=needs_open)
-    params: dict[str, float] = {}
-    if which == "c1":
-        value = c1(gamma)
-    elif which == "cinf":
-        value = c_infinity(gamma)
-    elif which == "r2":
-        result = twoshot.optimize_r2(gamma)
-        value, params = result.bits_per_transmission, result.params
-    elif which == "r2trunc":
-        result = coherent.optimize_r2_truncated(gamma)
-        value, params = result.bits_per_transmission, result.params
-    elif which == "r2gen":
-        result = twoshot.optimize_general(gamma, seed=seed)
-        value, params = result.bits_per_transmission, result.params
-        print(f"{value:.10f}")
-        print("# lower-bound probe over all four-outcome measurements")
-        for name, v in params.items():
-            print(f"{name} = {v:.10g}")
-        return EXIT_OK
-    else:
+    if which not in POINT_CHOICES:
         raise ValueError(f"unknown quantity {which!r}")
+    gamma = _angle(gamma_deg, open_interval=which not in ("c1", "cinf"))
+    value, params = _value_and_params(_QUANTITIES[which](gamma, seed))
     print(f"{value:.10f}")
+    if which == "r2gen":
+        print("# lower-bound probe over all four-outcome measurements")
     for name, v in params.items():
         print(f"{name} = {v:.10g}")
     return EXIT_OK
 
 
-def _column_values(column: str, gamma: Angle, cache: dict[str, float], seed: int) -> float:
-    if column in cache:
-        return cache[column]
-    if column == "c1":
-        value = c1(gamma)
-    elif column == "cinf":
-        value = c_infinity(gamma)
-    elif column == "ratio":
-        value = _column_values("cinf", gamma, cache, seed) / _column_values("c1", gamma, cache, seed)
-    elif column == "r2":
-        value = twoshot.optimize_r2(gamma).bits_per_transmission
-    elif column == "diff":
-        value = _column_values("r2", gamma, cache, seed) - _column_values("c1", gamma, cache, seed)
-    elif column == "r2_over_c1":
-        value = _column_values("r2", gamma, cache, seed) / _column_values("c1", gamma, cache, seed)
-    elif column == "r2trunc":
-        value = coherent.optimize_r2_truncated(gamma).bits_per_transmission
-    elif column == "r2trunc_reused":
-        value = coherent.optimize_r2_truncated_reused(gamma).bits_per_transmission
-    elif column == "r2gen":
-        value = twoshot.optimize_general(gamma, seed=seed).bits_per_transmission
-    else:
-        raise ValueError(f"unknown column {column!r}")
-    cache[column] = value
-    return value
+def _column_value(column: str, gamma: Angle, cache: dict[str, float], seed: int) -> float:
+    if column not in cache:
+        if column in _DERIVED_COLUMNS:
+            cache[column] = _DERIVED_COLUMNS[column](
+                lambda name: _column_value(name, gamma, cache, seed))
+        else:
+            cache[column] = _value_and_params(_QUANTITIES[column](gamma, seed))[0]
+    return cache[column]
 
 
 def sweep_table(from_deg: float, to_deg: float, steps: int, columns: Iterable[str],
@@ -121,7 +112,7 @@ def sweep_table(from_deg: float, to_deg: float, steps: int, columns: Iterable[st
     for deg in grid:
         gamma = Angle.from_degrees(deg)
         cache: dict[str, float] = {}
-        rows.append([_column_values(c, gamma, cache, seed) for c in columns])
+        rows.append([_column_value(c, gamma, cache, seed) for c in columns])
     data = np.array(rows)
     provenance = (
         f"superadd sweep from={from_deg:g} to={to_deg:g} steps={steps} "
@@ -179,14 +170,7 @@ def cmd_sweep(from_deg: float, to_deg: float, steps: int, columns: Iterable[str]
 def cmd_crossover(which: str) -> int:
     """Locate where the chosen rate curve crosses the one-shot capacity."""
     rate_fn, lo, hi = CROSSOVER_SETUPS[which]
-    try:
-        angle = twoshot.crossover_angle(rate_fn, Angle.from_degrees(lo), Angle.from_degrees(hi))
-    except BracketingError as exc:
-        lo_angle, hi_angle = Angle.from_degrees(lo), Angle.from_degrees(hi)
-        print(f"bracketing failed: {exc}", file=sys.stderr)
-        print(f"rate-c1 at {lo} deg: {rate_fn(lo_angle) - c1(lo_angle):.6e}", file=sys.stderr)
-        print(f"rate-c1 at {hi} deg: {rate_fn(hi_angle) - c1(hi_angle):.6e}", file=sys.stderr)
-        raise
+    angle = twoshot.crossover_angle(rate_fn, Angle.from_degrees(lo), Angle.from_degrees(hi))
     print(f"{angle.degrees:.2f}")
     return EXIT_OK
 
@@ -198,8 +182,7 @@ def cmd_mc(gamma_deg: float, samples: int, seed: int) -> int:
     gamma = _angle(gamma_deg, open_interval=True)
     result = twoshot.optimize_r2(gamma)
     eta, p = result.params["eta"], result.params["p"]
-    a, b, c, _ = two_shot_alphabet(gamma)
-    ensemble = Ensemble(((p, a), (p, b), (1.0 - 2.0 * p, c)))
+    ensemble = twoshot._ansatz_ensemble(p, gamma)
     basis = twoshot.ansatz_basis(eta, gamma)
     config = mcsim.SimConfig(samples=samples, seed=seed, ensemble=ensemble, basis=basis)
     counts = mcsim.simulate(config)

@@ -17,7 +17,7 @@ import numpy as np
 from .capacities import COMPLETENESS_TOL, LN2, Ensemble, _xlog2x
 from .statespace import MeasurementBasis
 
-DEFAULT_BLOCK = 250_000
+BLOCK_SIZE = 250_000  # trials per child stream of the master seed
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,10 @@ class SimConfig:
     seed: int
     ensemble: Ensemble
     basis: MeasurementBasis
-    block_size: int = DEFAULT_BLOCK
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("need at least one sample")
-        if self.block_size < 1:
-            raise ValueError("block size must be positive")
         probs = (self.basis.matrix @ self.ensemble.states.T) ** 2
         gap = float(np.abs(probs.sum(axis=0) - 1.0).max())
         if gap > COMPLETENESS_TOL:
@@ -74,12 +71,12 @@ def simulate(config: SimConfig) -> JointCounts:
     cond = config.outcome_probabilities()  # (letter, outcome)
     n_letters, n_outcomes = cond.shape
     cdf = np.cumsum(cond, axis=1)
-    blocks = math.ceil(config.samples / config.block_size)
+    blocks = math.ceil(config.samples / BLOCK_SIZE)
     streams = np.random.SeedSequence(config.seed).spawn(blocks)
     counts = np.zeros(n_letters * n_outcomes, dtype=np.int64)
     remaining = config.samples
     for stream in streams:
-        block = min(config.block_size, remaining)
+        block = min(BLOCK_SIZE, remaining)
         remaining -= block
         rng = np.random.default_rng(stream)
         letters = rng.choice(n_letters, size=block, p=priors)
@@ -90,12 +87,12 @@ def simulate(config: SimConfig) -> JointCounts:
     return JointCounts(counts=counts.reshape(n_letters, n_outcomes), total=config.samples)
 
 
-def empirical_mi(counts: JointCounts, bias_correction: bool = True) -> float:
-    """Plug-in mutual information of the joint counts, in bits.
+def empirical_mi(counts: JointCounts) -> float:
+    """Miller-Madow mutual information of the joint counts, in bits.
 
-    With bias_correction the three plug-in entropies get the first-order
-    (support size - 1) / (2 N ln 2) adjustment, which removes the leading
-    upward bias of the plug-in mutual information.
+    The three plug-in entropies get the first-order (support size - 1) /
+    (2 N ln 2) adjustment, which removes the leading upward bias of the
+    plug-in mutual information.
     """
     if counts.total < 1:
         raise ValueError("need at least one count")
@@ -105,14 +102,12 @@ def empirical_mi(counts: JointCounts, bias_correction: bool = True) -> float:
     mi = float(
         _xlog2x(joint).sum() - _xlog2x(rows).sum() - _xlog2x(cols).sum()
     )
-    if bias_correction:
-        support_rows = int((rows > 0).sum())
-        support_cols = int((cols > 0).sum())
-        support_joint = int((joint > 0).sum())
-        mi += ((support_rows - 1) + (support_cols - 1) - (support_joint - 1)) / (
-            2.0 * counts.total * LN2
-        )
-    return mi
+    support_rows = int((rows > 0).sum())
+    support_cols = int((cols > 0).sum())
+    support_joint = int((joint > 0).sum())
+    return mi + ((support_rows - 1) + (support_cols - 1) - (support_joint - 1)) / (
+        2.0 * counts.total * LN2
+    )
 
 
 def bootstrap_standard_error(counts: JointCounts, resamples: int = 100, seed: int = 0) -> float:

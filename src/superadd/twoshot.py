@@ -295,34 +295,17 @@ def optimize_r2(gamma: Angle) -> RateResult:
 # unconstrained search over the full two-shot span
 
 
-@dataclass(frozen=True)
-class GeneralSearchConfig:
-    """Annealing-plus-gradient-polish settings for the unconstrained probe."""
-
-    restarts: int = 20  # annealing chains, advanced together
-    cooling: float = 0.97  # geometric temperature factor per level
-    temperature_samples: int = 100  # initial temperature from this many random rates
-    levels: int = 100
-    proposals_per_level: int = 12
-    step_scale: float = 0.35
-    polish_candidates: int = 6
-    polish_maxiter: int = 500  # L-BFGS-B iterations per polished candidate
-    polish_ftol: float = 1e-13  # rate tolerance of the polish
-    polish_gtol: float = 1e-10  # gradient tolerance of the polish
-
-    def hyperparams(self) -> dict[str, float]:
-        return {
-            "restarts": float(self.restarts),
-            "cooling": self.cooling,
-            "temperature_samples": float(self.temperature_samples),
-            "levels": float(self.levels),
-            "proposals_per_level": float(self.proposals_per_level),
-            "step_scale": self.step_scale,
-            "polish_ftol": self.polish_ftol,
-        }
-
-
-DEFAULT_GENERAL_SEARCH = GeneralSearchConfig()
+# Annealing-plus-gradient-polish settings of the unconstrained probe.
+RESTARTS = 20  # annealing chains, advanced together
+COOLING = 0.97  # geometric temperature factor per level
+TEMPERATURE_SAMPLES = 100  # initial temperature from this many random rates
+LEVELS = 100
+PROPOSALS_PER_LEVEL = 12
+STEP_SCALE = 0.35
+POLISH_CANDIDATES = 6
+POLISH_MAXITER = 500  # L-BFGS-B iterations per polished candidate
+POLISH_FTOL = 1e-13  # rate tolerance of the polish
+POLISH_GTOL = 1e-10  # gradient tolerance of the polish
 
 
 def _letters_matrix(gamma: Angle) -> np.ndarray:
@@ -418,16 +401,16 @@ def _random_thetas(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def _anneal_lockstep(x: np.ndarray, letters: np.ndarray, rng: np.random.Generator,
-                     t0: float, config: GeneralSearchConfig) -> tuple[np.ndarray, np.ndarray]:
+                     t0: float) -> tuple[np.ndarray, np.ndarray]:
     """Metropolis chains from the rows of x[R, 9], advanced in lockstep: one
     batched rate call per proposal step, acceptance decided row by row.
     Returns each chain's best point and rate."""
     f = _general_rates(x, letters)
     best_x, best_f = x.copy(), f.copy()
     temperature = t0
-    for _ in range(config.levels):
-        scale = config.step_scale * max(temperature / t0, 0.05)
-        for _ in range(config.proposals_per_level):
+    for _ in range(LEVELS):
+        scale = STEP_SCALE * max(temperature / t0, 0.05)
+        for _ in range(PROPOSALS_PER_LEVEL):
             candidate = x + rng.normal(scale=scale, size=x.shape)
             fc = _general_rates(candidate, letters)
             chance = np.exp(np.minimum(fc - f, 0.0) / temperature)
@@ -437,12 +420,11 @@ def _anneal_lockstep(x: np.ndarray, letters: np.ndarray, rng: np.random.Generato
             improved = f > best_f
             best_x = np.where(improved[:, None], x, best_x)
             best_f = np.where(improved, f, best_f)
-        temperature *= config.cooling
+        temperature *= COOLING
     return best_x, best_f
 
 
-def optimize_general(gamma: Angle, seed: int,
-                     config: GeneralSearchConfig = DEFAULT_GENERAL_SEARCH) -> RateResult:
+def optimize_general(gamma: Angle, seed: int) -> RateResult:
     """Lower-bound probe over every four-outcome von Neumann measurement and
     every prior on the four letters.
 
@@ -461,21 +443,19 @@ def optimize_general(gamma: Angle, seed: int,
     starts = np.array([_product_measurement_start(gamma), _ansatz_start(gamma, ansatz)])
 
     rng = np.random.default_rng(seed)
-    samples = _general_rates(_random_thetas(rng, config.temperature_samples), letters)
+    samples = _general_rates(_random_thetas(rng, TEMPERATURE_SAMPLES), letters)
     t0 = max(float(np.std(samples)), 1e-12)
-    warm = starts[: config.restarts]
-    x0 = np.concatenate([warm, _random_thetas(rng, config.restarts - len(warm))])
-    annealed, annealed_f = _anneal_lockstep(x0, letters, rng, t0, config)
-    evaluations = (config.temperature_samples
-                   + config.restarts * (1 + config.levels * config.proposals_per_level))
+    warm = starts[:RESTARTS]
+    x0 = np.concatenate([warm, _random_thetas(rng, RESTARTS - len(warm))])
+    annealed, annealed_f = _anneal_lockstep(x0, letters, rng, t0)
+    evaluations = TEMPERATURE_SAMPLES + RESTARTS * (1 + LEVELS * PROPOSALS_PER_LEVEL)
 
     def negative_rate(theta: np.ndarray) -> tuple[float, np.ndarray]:
         value, gradient = _rate_and_gradient(theta, letters)
         return -value, -gradient
 
-    order = np.argsort(-annealed_f, kind="stable")[: config.polish_candidates]
-    options = {"maxiter": config.polish_maxiter, "ftol": config.polish_ftol,
-               "gtol": config.polish_gtol}
+    order = np.argsort(-annealed_f, kind="stable")[:POLISH_CANDIDATES]
+    options = {"maxiter": POLISH_MAXITER, "ftol": POLISH_FTOL, "gtol": POLISH_GTOL}
     polished = [minimize(negative_rate, x, jac=True, method="L-BFGS-B", options=options)
                 for x in [*annealed[order], *starts]]
     evaluations += sum(int(result.nfev) for result in polished)
@@ -485,20 +465,29 @@ def optimize_general(gamma: Angle, seed: int,
     priors = _general_priors(best_x)
     params = {f"theta_{i}": float(best_x[i]) for i in range(6)}
     params.update({name: float(w) for name, w in zip(("p_a", "p_b", "p_c", "p_d"), priors)})
-    hyper = config.hyperparams()
-    hyper["initial_temperature"] = t0
-    hyper["seed"] = float(seed)
     return RateResult(
         bits_per_transmission=-float(best.fun),
         params=params,
         iterations=evaluations,
         converged=bool(best.success),
-        hyperparams=hyper,
+        hyperparams={
+            "restarts": float(RESTARTS),
+            "cooling": COOLING,
+            "temperature_samples": float(TEMPERATURE_SAMPLES),
+            "levels": float(LEVELS),
+            "proposals_per_level": float(PROPOSALS_PER_LEVEL),
+            "step_scale": STEP_SCALE,
+            "polish_ftol": POLISH_FTOL,
+            "initial_temperature": t0,
+            "seed": float(seed),
+        },
     )
 
 
-def crossover_angle(rate_fn: Callable[[Angle], float], lo: Angle, hi: Angle,
-                    tolerance_deg: float = 0.01) -> Angle:
+CROSSOVER_TOLERANCE_DEG = 0.01  # bracket width at which bisection stops
+
+
+def crossover_angle(rate_fn: Callable[[Angle], float], lo: Angle, hi: Angle) -> Angle:
     """Angle where rate_fn crosses the one-shot capacity, by bisection.
 
     Requires rate_fn - c1 to change sign between lo and hi.
@@ -508,10 +497,10 @@ def crossover_angle(rate_fn: Callable[[Angle], float], lo: Angle, hi: Angle,
     f_hi = rate_fn(hi) - c1(hi)
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
         raise BracketingError(
-            f"rate - c1 has the same sign at both ends: {f_lo:.3e} at {lo_deg} deg, "
-            f"{f_hi:.3e} at {hi_deg} deg"
+            f"rate - c1 has the same sign at both ends: rate-c1 at {lo_deg:g} deg: "
+            f"{f_lo:.6e}, rate-c1 at {hi_deg:g} deg: {f_hi:.6e}"
         )
-    while hi_deg - lo_deg > tolerance_deg:
+    while hi_deg - lo_deg > CROSSOVER_TOLERANCE_DEG:
         mid_deg = 0.5 * (lo_deg + hi_deg)
         mid = Angle.from_degrees(mid_deg)
         f_mid = rate_fn(mid) - c1(mid)

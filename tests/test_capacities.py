@@ -16,7 +16,6 @@ from superadd.capacities import (
     c_infinity,
     entropy_bits,
     measured_mutual_information,
-    ratio_curve,
 )
 from superadd.errors import CompletenessError
 from superadd.statespace import Angle, MeasurementBasis, StateVector, embed_alphabet
@@ -107,29 +106,6 @@ class TestClosedFormCapacities:
             assert lo <= hi + 1e-12
             if 0.0 < d < 90.0:
                 assert lo < hi
-
-
-class TestRatioCurve:
-    def test_orthogonal_ratio_is_one(self):
-        table = ratio_curve([deg(90)])
-        assert table.columns["ratio"][0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_ten_degrees(self):
-        table = ratio_curve([deg(10)])
-        assert table.columns["ratio"][0] == pytest.approx(mp_c_infinity(10) / mp_c1(10), abs=1e-9)
-        assert table.columns["ratio"][0] == pytest.approx(2.94, abs=0.01)
-
-    def test_ratio_grows_toward_zero_angle(self):
-        five, ten = (ratio_curve([deg(d)]).columns["ratio"][0] for d in (5, 10))
-        assert five > ten
-
-    def test_strictly_decreasing_over_grid(self):
-        table = ratio_curve([deg(d) for d in np.linspace(1.0, 89.0, 89)])
-        assert np.all(np.diff(table.columns["ratio"]) < 0)
-
-    def test_zero_angle_rejected(self):
-        with pytest.raises(ValueError):
-            ratio_curve([deg(0)])
 
 
 def uniform_pair_ensemble(gamma):

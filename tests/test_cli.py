@@ -77,7 +77,7 @@ class TestSweep:
     def test_ratio_column_strictly_decreasing(self, tmp_path, capsys):
         out = tmp_path / "ratio.csv"
         code, _, _ = run_cli(
-            ["sweep", "--from", "1", "--to", "89", "--steps", "23",
+            ["sweep", "--from", "1", "--to", "89", "--steps", "89",
              "--columns", "c1,cinf,ratio", "--out", str(out)], capsys)
         assert code == 0
         table = cli.read_csv(out)
@@ -120,6 +120,9 @@ class TestSweep:
                         "--columns", "c1", "--out", out], capsys)[0] == 2
         assert run_cli(["sweep", "--from", "10", "--to", "20", "--steps", "3",
                         "--columns", "nope", "--out", out], capsys)[0] == 2
+        # the ratio cinf/c1 is 0/0 at gamma = 0
+        assert run_cli(["sweep", "--from", "0", "--to", "20", "--steps", "3",
+                        "--columns", "c1,cinf,ratio", "--out", out], capsys)[0] == 2
 
     def test_unwritable_path(self, capsys):
         code, _, err = run_cli(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from superadd import mcsim
 from superadd.capacities import Ensemble
 from superadd.mcsim import JointCounts, SimConfig, bootstrap_standard_error, empirical_mi, simulate
 from superadd.statespace import Angle, MeasurementBasis, StateVector, embed_alphabet, two_shot_alphabet
@@ -28,9 +29,10 @@ class TestSimulate:
         config = SimConfig(samples=50_000, seed=77, ensemble=ensemble, basis=basis)
         assert np.array_equal(simulate(config).counts, simulate(config).counts)
 
-    def test_blocks_do_not_change_the_tally_structure(self):
+    def test_blocks_do_not_change_the_tally_structure(self, monkeypatch):
+        monkeypatch.setattr(mcsim, "BLOCK_SIZE", 1_000)
         ensemble, basis, _ = optimal_two_shot_setup()
-        config = SimConfig(samples=10_000, seed=4, ensemble=ensemble, basis=basis, block_size=1_000)
+        config = SimConfig(samples=10_000, seed=4, ensemble=ensemble, basis=basis)
         counts = simulate(config)
         assert counts.total == 10_000
         assert counts.counts.shape == (3, 3)
@@ -78,17 +80,23 @@ class TestEmpiricalMi:
         assert empirical_mi(counts) == pytest.approx(math.log2(3.0), abs=2.0 / n)
 
     def test_independent_counts_give_zero_before_correction(self):
+        # the plug-in part vanishes, leaving the Miller-Madow term
+        # ((3 - 1) + (2 - 1) - (6 - 1)) / (2 N ln 2)
         rows = np.array([3, 5, 2])
         cols = np.array([7, 11])
-        counts = JointCounts(counts=np.outer(rows, cols), total=int(rows.sum() * cols.sum()))
-        assert abs(empirical_mi(counts, bias_correction=False)) < 1e-12
+        n = int(rows.sum() * cols.sum())
+        counts = JointCounts(counts=np.outer(rows, cols), total=n)
+        assert empirical_mi(counts) == pytest.approx(-2.0 / (2 * n * math.log(2.0)), abs=1e-12)
 
     def test_correction_shrinks_the_estimate(self):
         # with full support the adjustment is strictly negative
         rng = np.random.default_rng(3)
         cells = rng.integers(1, 50, size=(3, 3))
         counts = JointCounts(counts=cells, total=int(cells.sum()))
-        assert empirical_mi(counts) < empirical_mi(counts, bias_correction=False)
+        joint = cells / cells.sum()
+        independent = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+        plug_in = float((joint * np.log2(joint / independent)).sum())
+        assert empirical_mi(counts) < plug_in
 
     def test_counts_validation(self):
         with pytest.raises(ValueError, match="sum"):
