@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -26,7 +27,7 @@ from scipy.optimize import minimize_scalar
 from .capacities import Ensemble, RateResult, measured_mutual_information
 from .statespace import Angle, MeasurementBasis, StateVector, lowdin_orthogonalize, tensor
 from .twoshot import (ANSATZ_HYPERPARAMS, P_POINTS, SQRT2, _check_open_range, _grid_then_refine,
-                      _symmetric_prior_rates, optimize_r2)
+                      _RateGrid, _symmetric_prior_rates, optimize_r2)
 
 TWO_PHOTON = np.array([0.0, 0.0, 0.0, 1.0])
 
@@ -90,32 +91,25 @@ def _photon_rows(eta, alpha):
 
     These are the exact re-expansions of the span construction in the
     truncated photon coordinates; every coefficient carries the common
-    denominator 2(1 + alpha^2).
+    denominator 2(1 + alpha^2).  Returns a fresh (..., vector, photon
+    coordinate) array; e2 is e1 with the two one-photon coordinates swapped.
     """
     eta = np.asarray(eta, dtype=float)
     ce, se = np.cos(eta), np.sin(eta)
     a2 = alpha * alpha
     den = 2.0 * (1.0 + a2)
-    e1 = np.stack(
-        [
-            (SQRT2 * se + 2.0 * alpha * ce) / den,
-            (alpha * SQRT2 * se - ce + a2 * ce - 1.0 - a2) / den,
-            (alpha * SQRT2 * se - ce + a2 * ce + 1.0 + a2) / den,
-            (a2 * SQRT2 * se - 2.0 * alpha * ce) / den,
-        ],
-        axis=-1,
-    )
-    e2 = e1[..., [0, 2, 1, 3]]
-    e3 = np.stack(
-        [
-            2.0 * (ce - alpha * SQRT2 * se) / den,
-            (SQRT2 * se * (1.0 - a2) + 2.0 * alpha * ce) / den,
-            (SQRT2 * se * (1.0 - a2) + 2.0 * alpha * ce) / den,
-            2.0 * (alpha * SQRT2 * se + a2 * ce) / den,
-        ],
-        axis=-1,
-    )
-    return np.stack([e1, e2, e3], axis=-2)  # (..., vector, photon coordinate)
+    rows = np.empty(eta.shape + (3, 4))
+    rows[..., 0, 0] = (SQRT2 * se + 2.0 * alpha * ce) / den
+    rows[..., 0, 1] = (alpha * SQRT2 * se - ce + a2 * ce - 1.0 - a2) / den
+    rows[..., 0, 2] = (alpha * SQRT2 * se - ce + a2 * ce + 1.0 + a2) / den
+    rows[..., 0, 3] = (a2 * SQRT2 * se - 2.0 * alpha * ce) / den
+    rows[..., 1, 0::3] = rows[..., 0, 0::3]
+    rows[..., 1, 1:3] = rows[..., 0, 2:0:-1]
+    rows[..., 2, 0] = 2.0 * (ce - alpha * SQRT2 * se) / den
+    rows[..., 2, 1] = (SQRT2 * se * (1.0 - a2) + 2.0 * alpha * ce) / den
+    rows[..., 2, 2] = rows[..., 2, 1]
+    rows[..., 2, 3] = 2.0 * (alpha * SQRT2 * se + a2 * ce) / den
+    return rows
 
 
 def photon_basis(eta: float, gamma: Angle) -> list[PhotonBasisVector]:
@@ -151,8 +145,7 @@ def truncated_orthonormal_basis(eta: float, gamma: Angle) -> MeasurementBasis:
     most 3/4, so it never approaches singularity inside (0, 90) degrees.
     """
     _check_open_range(gamma)
-    rows = _photon_rows(float(eta), alpha_from_gamma(gamma))
-    clipped = rows.copy()
+    clipped = _photon_rows(float(eta), alpha_from_gamma(gamma))
     clipped[:, 3] = 0.0
     return lowdin_orthogonalize(clipped)
 
@@ -173,28 +166,43 @@ def rate_truncated(eta: float, p: float, gamma: Angle) -> float:
     return measured_mutual_information(ensemble, _scoring_basis(eta, gamma)) / 2.0
 
 
-def _trunc_conditional_probs(gamma_rad: float, etas: np.ndarray) -> np.ndarray:
-    """P[eta, outcome, letter] for the completed clipped basis, batched."""
-    gamma = Angle(gamma_rad)
-    alpha = alpha_from_gamma(gamma)
-    rows = _photon_rows(etas, alpha)  # (eta, 3, 4)
-    clipped = rows.copy()
-    clipped[..., 3] = 0.0
-    gram = clipped @ clipped.transpose(0, 2, 1)
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    inv_sqrt = np.einsum("gik,gk,gjk->gij", eigvecs, eigvals**-0.5, eigvecs)
-    ortho = inv_sqrt @ clipped  # (eta, 3, 4)
-    letters = np.vstack([s.coords for s in two_shot_coherent_alphabet(gamma)[:3]])
-    amplitudes = np.einsum("gkd,xd->gkx", ortho, letters)
+def _coherent_letters(alpha: float) -> np.ndarray:
+    """Rows a, b, c of two_shot_coherent_alphabet in closed form: products of
+    u0, u1 = (1, +-alpha)/sqrt(1 + alpha^2), the same products np.kron forms."""
+    norm = math.sqrt(1.0 + alpha**2)
+    u0 = np.array([1.0, alpha]) / norm
+    u1 = np.array([1.0, -alpha]) / norm
+    return np.stack([np.outer(u0, u1).ravel(), np.outer(u1, u0).ravel(),
+                     np.outer(u0, u0).ravel()])
+
+
+def _trunc_conditional_probs(gamma_rad: float) -> Callable[[np.ndarray], np.ndarray]:
+    """etas -> P[eta, outcome, letter] for the completed clipped basis at one
+    angle, batched; the eta-independent letters are built once per angle."""
+    alpha = alpha_from_gamma(Angle(gamma_rad))
+    letters = _coherent_letters(alpha)
     two_photon = letters[:, 3] ** 2  # fourth outcome, eta independent
-    probs = np.empty((etas.size, 4, 3))
-    probs[:, :3, :] = amplitudes**2
-    probs[:, 3, :] = two_photon
-    return probs
+
+    def conditional_probs(etas: np.ndarray) -> np.ndarray:
+        clipped = _photon_rows(etas, alpha)  # (eta, 3, 4)
+        clipped[..., 3] = 0.0
+        gram = clipped @ clipped.transpose(0, 2, 1)
+        eigvals, eigvecs = np.linalg.eigh(gram)
+        inv_sqrt = np.einsum("gik,gk,gjk->gij", eigvecs, eigvals**-0.5, eigvecs)
+        ortho = inv_sqrt @ clipped  # (eta, 3, 4)
+        amplitudes = np.einsum("gkd,xd->gkx", ortho, letters)
+        probs = np.empty((etas.size, 4, 3))
+        probs[:, :3, :] = amplitudes**2
+        probs[:, 3, :] = two_photon
+        return probs
+
+    return conditional_probs
 
 
-def _trunc_rate_grid(gamma_rad: float, etas: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    return _symmetric_prior_rates(_trunc_conditional_probs(gamma_rad, etas), ps)
+def _trunc_rate_grid(gamma_rad: float) -> _RateGrid:
+    """(etas, ps) -> rate[eta, p] of the clipped basis at one angle."""
+    conditional_probs = _trunc_conditional_probs(gamma_rad)
+    return lambda etas, ps: _symmetric_prior_rates(conditional_probs(etas), ps)
 
 
 def optimize_r2_truncated(gamma: Angle) -> RateResult:
@@ -214,12 +222,13 @@ def optimize_r2_truncated_reused(gamma: Angle) -> RateResult:
     ideal = optimize_r2(gamma)
     eta = ideal.params["eta"]
     ps = np.linspace(0.0, 0.5, P_POINTS)
-    grid = _trunc_rate_grid(g, np.array([eta]), ps)[0]
+    probs = _trunc_conditional_probs(g)(np.array([eta]))
+    grid = _symmetric_prior_rates(probs, ps)[0]
     pi = int(np.argmax(grid))
     lo = max(0.0, ps[pi] - 2.0 * (0.5 / (P_POINTS - 1)))
     hi = min(0.5, ps[pi] + 2.0 * (0.5 / (P_POINTS - 1)))
     result = minimize_scalar(
-        lambda p: -_trunc_rate_grid(g, np.array([eta]), np.array([p]))[0, 0],
+        lambda p: -_symmetric_prior_rates(probs, np.array([p]))[0, 0],
         bounds=(lo, hi),
         method="bounded",
         options={"xatol": 1e-12},

@@ -242,18 +242,21 @@ def _check_open_range(gamma: Angle) -> float:
     return gamma.radians
 
 
-def _grid_then_refine(rate_grid: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
-                      gamma: Angle) -> RateResult:
-    """Maximize rate_grid(gamma_rad, etas, ps)[eta, p] over (eta, p).
+_RateGrid = Callable[[np.ndarray, np.ndarray], np.ndarray]  # (etas, ps) -> rate[eta, p]
+
+
+def _grid_then_refine(rate_grid_at: Callable[[float], _RateGrid], gamma: Angle) -> RateResult:
+    """Maximize rate_grid(etas, ps)[eta, p] over (eta, p), where rate_grid =
+    rate_grid_at(gamma_rad) holds whatever the family builds once per angle.
 
     Coarse (eta, p) grid followed by Nelder-Mead refinement from the best
     cell, bounded to its neighborhood.  Exact grid ties resolve to the
     smallest eta, then smallest p (row-major argmax order).
     """
-    g = _check_open_range(gamma)
+    rate_grid = rate_grid_at(_check_open_range(gamma))
     etas = np.linspace(0.0, math.pi, ETA_POINTS, endpoint=False)
     ps = np.linspace(0.0, 0.5, P_POINTS)
-    grid = rate_grid(g, etas, ps)
+    grid = rate_grid(etas, ps)
     gi, pi = np.unravel_index(int(np.argmax(grid)), grid.shape)
     d_eta = math.pi / ETA_POINTS
     d_p = 0.5 / (P_POINTS - 1)
@@ -263,7 +266,7 @@ def _grid_then_refine(rate_grid: Callable[[float, np.ndarray, np.ndarray], np.nd
     ]
 
     def negative_rate(x: np.ndarray) -> float:
-        return -rate_grid(g, np.array([x[0]]), np.array([x[1]]))[0, 0]
+        return -rate_grid(np.array([x[0]]), np.array([x[1]]))[0, 0]
 
     result = minimize(
         negative_rate,
@@ -288,7 +291,7 @@ def optimize_r2(gamma: Angle) -> RateResult:
     A dense (eta, p) grid, then Nelder-Mead from the best cell (see
     _grid_then_refine); deterministic.
     """
-    return _grid_then_refine(_rate_grid, gamma)
+    return _grid_then_refine(lambda g: functools.partial(_rate_grid, g), gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,10 @@ import time
 
 import mpmath
 import numpy as np
-import pytest
 from scipy.optimize import minimize
 
 from superadd import cli
 from superadd.capacities import Ensemble, c1, c_infinity
-from superadd.coherent import optimize_r2_truncated
 from superadd.mcsim import SimConfig, bootstrap_standard_error, empirical_mi, simulate
 from superadd.statespace import Angle, two_shot_alphabet
 from superadd.twoshot import ansatz_basis, optimize_general, optimize_r2

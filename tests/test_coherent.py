@@ -1,11 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from superadd import coherent
 from superadd.capacities import c1
 from superadd.coherent import (
     CoherentAlphabet,
+    _coherent_letters,
+    _photon_rows,
     _trunc_rate_grid,
     alpha_from_gamma,
     optimize_r2_truncated,
@@ -46,7 +52,31 @@ class TestAmplitudeMap:
             )
 
 
+class TestClosedFormLetters:
+    # the rate grid builds the letters in closed form; they must be the
+    # Kronecker products bit for bit, or the optimizers' values would move
+    @staticmethod
+    def _assert_equal_to_kron_letters(gamma):
+        kron = np.vstack([s.coords for s in two_shot_coherent_alphabet(gamma)[:3]])
+        assert np.array_equal(_coherent_letters(alpha_from_gamma(gamma)), kron)
+
+    def test_log_spaced_angles(self):
+        for d in np.geomspace(1e-4, 89.99, 800):
+            self._assert_equal_to_kron_letters(deg(d))
+
+    @given(st.floats(0.0, 90.0, exclude_min=True, exclude_max=True))
+    def test_any_open_angle(self, gamma_deg):
+        self._assert_equal_to_kron_letters(deg(gamma_deg))
+
+
 class TestPhotonBasis:
+    def test_batched_rows_equal_scalar_rows(self):
+        etas = np.linspace(0.0, math.pi, 97)
+        for d in [1e-3, 5.0, 17.1, 60.0, 89.9]:
+            alpha = alpha_from_gamma(deg(d))
+            rows = np.stack([_photon_rows(float(eta), alpha) for eta in etas])
+            assert np.array_equal(_photon_rows(etas, alpha), rows)
+
     def test_orthonormal(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
@@ -132,13 +162,33 @@ class TestTruncatedRate:
         assert reused <= reopt + 1e-10
         assert reused > 0
 
+    def test_letters_built_once_per_optimization(self, monkeypatch):
+        # not once per Nelder-Mead or minimize_scalar point
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        for name in ("alpha_from_gamma", "two_shot_coherent_alphabet"):
+            monkeypatch.setattr(coherent, name, counting(name, getattr(coherent, name)))
+        monkeypatch.setattr(CoherentAlphabet, "for_angle",
+                            staticmethod(counting("for_angle", CoherentAlphabet.for_angle)))
+        for optimize in (optimize_r2_truncated, optimize_r2_truncated_reused):
+            calls.clear()
+            optimize(deg(17.1))
+            assert calls["alpha_from_gamma"] >= 1
+            assert max(calls.values()) <= 2, (optimize.__name__, calls)
+
     def test_grid_path_agrees_with_scalar_path(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
             gamma_rad = rng.uniform(0.05, math.pi / 2 - 0.05)
             eta = rng.uniform(0.0, math.pi)
             p = rng.uniform(0.0, 0.5)
-            fast = _trunc_rate_grid(gamma_rad, np.array([eta]), np.array([p]))[0, 0]
+            fast = _trunc_rate_grid(gamma_rad)(np.array([eta]), np.array([p]))[0, 0]
             slow = rate_truncated(eta, p, Angle(gamma_rad))
             assert fast == pytest.approx(slow, abs=1e-12)
 
