@@ -166,21 +166,12 @@ def rate_truncated(eta: float, p: float, gamma: Angle) -> float:
     return measured_mutual_information(ensemble, _scoring_basis(eta, gamma)) / 2.0
 
 
-def _coherent_letters(alpha: float) -> np.ndarray:
-    """Rows a, b, c of two_shot_coherent_alphabet in closed form: products of
-    u0, u1 = (1, +-alpha)/sqrt(1 + alpha^2), the same products np.kron forms."""
-    norm = math.sqrt(1.0 + alpha**2)
-    u0 = np.array([1.0, alpha]) / norm
-    u1 = np.array([1.0, -alpha]) / norm
-    return np.stack([np.outer(u0, u1).ravel(), np.outer(u1, u0).ravel(),
-                     np.outer(u0, u0).ravel()])
-
-
 def _trunc_conditional_probs(gamma_rad: float) -> Callable[[np.ndarray], np.ndarray]:
     """etas -> P[eta, outcome, letter] for the completed clipped basis at one
     angle, batched; the eta-independent letters are built once per angle."""
-    alpha = alpha_from_gamma(Angle(gamma_rad))
-    letters = _coherent_letters(alpha)
+    gamma = Angle(gamma_rad)
+    alpha = alpha_from_gamma(gamma)
+    letters = np.vstack([s.coords for s in two_shot_coherent_alphabet(gamma)[:3]])
     two_photon = letters[:, 3] ** 2  # fourth outcome, eta independent
 
     def conditional_probs(etas: np.ndarray) -> np.ndarray:

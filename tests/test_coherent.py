@@ -3,14 +3,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from superadd import coherent
 from superadd.capacities import c1
 from superadd.coherent import (
     CoherentAlphabet,
-    _coherent_letters,
     _photon_rows,
     _trunc_rate_grid,
     alpha_from_gamma,
@@ -50,23 +47,6 @@ class TestAmplitudeMap:
             assert states.psi0.inner(states.psi1) == pytest.approx(
                 math.cos(gamma.radians), abs=1e-12
             )
-
-
-class TestClosedFormLetters:
-    # the rate grid builds the letters in closed form; they must be the
-    # Kronecker products bit for bit, or the optimizers' values would move
-    @staticmethod
-    def _assert_equal_to_kron_letters(gamma):
-        kron = np.vstack([s.coords for s in two_shot_coherent_alphabet(gamma)[:3]])
-        assert np.array_equal(_coherent_letters(alpha_from_gamma(gamma)), kron)
-
-    def test_log_spaced_angles(self):
-        for d in np.geomspace(1e-4, 89.99, 800):
-            self._assert_equal_to_kron_letters(deg(d))
-
-    @given(st.floats(0.0, 90.0, exclude_min=True, exclude_max=True))
-    def test_any_open_angle(self, gamma_deg):
-        self._assert_equal_to_kron_letters(deg(gamma_deg))
 
 
 class TestPhotonBasis:
