@@ -46,18 +46,21 @@ def _angle(gamma_deg: float, open_interval: bool) -> Angle:
     return Angle.from_degrees(gamma_deg)
 
 
-# Every quantity at one angle, from (gamma, seed): a capacity, or the result
-# of an optimizer.  The lambdas look functions up at call time, so a replaced
-# module attribute (a monkeypatch, the benchmark's tracer) takes effect.
-_QUANTITIES: dict[str, Callable[[Angle, int], float | RateResult]] = {
-    "c1": lambda gamma, seed: c1(gamma),
-    "cinf": lambda gamma, seed: c_infinity(gamma),
-    "r2": lambda gamma, seed: twoshot.optimize_r2(gamma),
-    "r2trunc": lambda gamma, seed: coherent.optimize_r2_truncated(gamma),
-    "r2trunc_reused": lambda gamma, seed: coherent.optimize_r2_truncated_reused(gamma),
-    "r2gen": lambda gamma, seed: twoshot.optimize_general(gamma, seed=seed),
+# Every quantity at one angle, from (gamma, seed, result): a capacity, or the
+# result of an optimizer; result(name) is the same row's result for another
+# quantity.  The lambdas look functions up at call time, so a replaced module
+# attribute (a monkeypatch, the benchmark's tracer) takes effect.
+_Result = float | RateResult
+_QUANTITIES: dict[str, Callable[[Angle, int, Callable[[str], _Result]], _Result]] = {
+    "c1": lambda gamma, seed, result: c1(gamma),
+    "cinf": lambda gamma, seed, result: c_infinity(gamma),
+    "r2": lambda gamma, seed, result: twoshot.optimize_r2(gamma),
+    "r2trunc": lambda gamma, seed, result: coherent.optimize_r2_truncated(gamma),
+    "r2trunc_reused": lambda gamma, seed, result: coherent.optimize_r2_truncated_reused(
+        gamma, ideal=result("r2")),
+    "r2gen": lambda gamma, seed, result: twoshot.optimize_general(gamma, seed=seed),
 }
-# Sweep columns derived from other columns, read through a cached getter.
+# Sweep columns derived from other columns' values.
 _DERIVED_COLUMNS: dict[str, Callable[[Callable[[str], float]], float]] = {
     "ratio": lambda column: column("cinf") / column("c1"),
     "diff": lambda column: column("r2") - column("c1"),
@@ -65,7 +68,7 @@ _DERIVED_COLUMNS: dict[str, Callable[[Callable[[str], float]], float]] = {
 }
 
 
-def _value_and_params(result: float | RateResult) -> tuple[float, dict[str, float]]:
+def _value_and_params(result: _Result) -> tuple[float, dict[str, float]]:
     if isinstance(result, RateResult):
         return result.bits_per_transmission, result.params
     return result, {}
@@ -76,7 +79,7 @@ def cmd_point(gamma_deg: float, which: str, seed: int = 0) -> int:
     if which not in POINT_CHOICES:
         raise ValueError(f"unknown quantity {which!r}")
     gamma = _angle(gamma_deg, open_interval=which not in ("c1", "cinf"))
-    value, params = _value_and_params(_QUANTITIES[which](gamma, seed))
+    value, params = _value_and_params(_row_result(which, gamma, {}, seed))
     print(f"{value:.10f}")
     if which == "r2gen":
         print("# lower-bound probe over all four-outcome measurements")
@@ -85,14 +88,18 @@ def cmd_point(gamma_deg: float, which: str, seed: int = 0) -> int:
     return EXIT_OK
 
 
-def _column_value(column: str, gamma: Angle, cache: dict[str, float], seed: int) -> float:
-    if column not in cache:
-        if column in _DERIVED_COLUMNS:
-            cache[column] = _DERIVED_COLUMNS[column](
-                lambda name: _column_value(name, gamma, cache, seed))
+def _row_result(name: str, gamma: Angle, cache: dict[str, _Result], seed: int) -> _Result:
+    """A quantity's result or a derived column's value at gamma, computed at
+    most once per cache (one sweep row)."""
+    if name not in cache:
+        def result(other: str) -> _Result:
+            return _row_result(other, gamma, cache, seed)
+
+        if name in _DERIVED_COLUMNS:
+            cache[name] = _DERIVED_COLUMNS[name](lambda other: _value_and_params(result(other))[0])
         else:
-            cache[column] = _value_and_params(_QUANTITIES[column](gamma, seed))[0]
-    return cache[column]
+            cache[name] = _QUANTITIES[name](gamma, seed, result)
+    return cache[name]
 
 
 def sweep_table(from_deg: float, to_deg: float, steps: int, columns: Iterable[str],
@@ -111,8 +118,8 @@ def sweep_table(from_deg: float, to_deg: float, steps: int, columns: Iterable[st
     rows = []
     for deg in grid:
         gamma = Angle.from_degrees(deg)
-        cache: dict[str, float] = {}
-        rows.append([_column_value(c, gamma, cache, seed) for c in columns])
+        cache: dict[str, _Result] = {}
+        rows.append([_value_and_params(_row_result(c, gamma, cache, seed))[0] for c in columns])
     data = np.array(rows)
     provenance = (
         f"superadd sweep from={from_deg:g} to={to_deg:g} steps={steps} "

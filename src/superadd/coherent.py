@@ -67,25 +67,6 @@ class CoherentAlphabet:
         return cls(alpha=alpha, psi0=psi0, psi1=psi1)
 
 
-@dataclass(frozen=True)
-class PhotonBasisVector:
-    """Measurement vector amplitudes on |0>+|0>-, |0>+|1>-, |1>+|0>-, |1>+|1>-."""
-
-    c00: float
-    c01: float
-    c10: float
-    c11: float
-
-    def __post_init__(self):
-        norm = math.sqrt(self.c00**2 + self.c01**2 + self.c10**2 + self.c11**2)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"measurement vector norm {norm} is off unit")
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.array([self.c00, self.c01, self.c10, self.c11])
-
-
 def _photon_rows(eta, alpha):
     """Photon-coordinate rows of the symmetric family, vectorized over eta.
 
@@ -112,15 +93,15 @@ def _photon_rows(eta, alpha):
     return rows
 
 
-def photon_basis(eta: float, gamma: Angle) -> list[PhotonBasisVector]:
-    """Symmetric measurement family expanded in photon-number coordinates.
+def photon_basis(eta: float, gamma: Angle) -> np.ndarray:
+    """Symmetric measurement family expanded in photon-number coordinates:
+    rows e1, e2, e3 of amplitudes on |0>+|0>-, |0>+|1>-, |1>+|0>-, |1>+|1>-.
 
-    The two-photon (c11) components are of order alpha while the rest are of
+    The two-photon (last) components are of order alpha while the rest are of
     order one; the expansion is orthonormal for every (eta, gamma).
     """
     _check_open_range(gamma)
-    rows = _photon_rows(float(eta), alpha_from_gamma(gamma))
-    return [PhotonBasisVector(*row) for row in rows]
+    return _photon_rows(float(eta), alpha_from_gamma(gamma))
 
 
 def two_shot_coherent_alphabet(gamma: Angle) -> tuple[StateVector, StateVector, StateVector, StateVector]:
@@ -139,10 +120,11 @@ def two_shot_coherent_alphabet(gamma: Angle) -> tuple[StateVector, StateVector, 
 def truncated_orthonormal_basis(eta: float, gamma: Angle) -> MeasurementBasis:
     """Clip the two-photon components and re-orthogonalize.
 
-    Zeroes c11 on each vector and applies symmetric orthogonalization on the
-    clipped span; the outputs have exactly zero two-photon amplitude.  The
-    clipped Gram matrix is the identity minus a rank-one defect of norm at
-    most 3/4, so it never approaches singularity inside (0, 90) degrees.
+    Zeroes the two-photon amplitude of each vector and applies symmetric
+    orthogonalization on the clipped span; the outputs have exactly zero
+    two-photon amplitude.  The clipped Gram matrix is the identity minus a
+    rank-one defect of norm at most 3/4, so it never approaches singularity
+    inside (0, 90) degrees.
     """
     _check_open_range(gamma)
     clipped = _photon_rows(float(eta), alpha_from_gamma(gamma))
@@ -167,8 +149,9 @@ def rate_truncated(eta: float, p: float, gamma: Angle) -> float:
 
 
 def _trunc_conditional_probs(gamma_rad: float) -> Callable[[np.ndarray], np.ndarray]:
-    """etas -> P[eta, outcome, letter] for the completed clipped basis at one
-    angle, batched; the eta-independent letters are built once per angle."""
+    """etas -> P[eta..., outcome, letter] for the completed clipped basis at
+    one angle, over the axes of etas (none for a float); the eta-independent
+    letters are built once per angle."""
     gamma = Angle(gamma_rad)
     alpha = alpha_from_gamma(gamma)
     letters = np.vstack([s.coords for s in two_shot_coherent_alphabet(gamma)[:3]])
@@ -177,14 +160,14 @@ def _trunc_conditional_probs(gamma_rad: float) -> Callable[[np.ndarray], np.ndar
     def conditional_probs(etas: np.ndarray) -> np.ndarray:
         clipped = _photon_rows(etas, alpha)  # (eta, 3, 4)
         clipped[..., 3] = 0.0
-        gram = clipped @ clipped.transpose(0, 2, 1)
+        gram = clipped @ np.swapaxes(clipped, -1, -2)
         eigvals, eigvecs = np.linalg.eigh(gram)
-        inv_sqrt = np.einsum("gik,gk,gjk->gij", eigvecs, eigvals**-0.5, eigvecs)
+        inv_sqrt = np.einsum("...ik,...k,...jk->...ij", eigvecs, eigvals**-0.5, eigvecs)
         ortho = inv_sqrt @ clipped  # (eta, 3, 4)
-        amplitudes = np.einsum("gkd,xd->gkx", ortho, letters)
-        probs = np.empty((etas.size, 4, 3))
-        probs[:, :3, :] = amplitudes**2
-        probs[:, 3, :] = two_photon
+        amplitudes = np.einsum("...kd,xd->...kx", ortho, letters)
+        probs = np.empty(np.shape(etas) + (4, 3))
+        probs[..., :3, :] = amplitudes**2
+        probs[..., 3, :] = two_photon
         return probs
 
     return conditional_probs
@@ -206,20 +189,21 @@ def optimize_r2_truncated(gamma: Angle) -> RateResult:
     return _grid_then_refine(_trunc_rate_grid, gamma)
 
 
-def optimize_r2_truncated_reused(gamma: Angle) -> RateResult:
+def optimize_r2_truncated_reused(gamma: Angle, ideal: RateResult | None = None) -> RateResult:
     """Clipped-basis rate at the ideal family's optimal eta, optimizing the
-    prior only."""
+    prior only.  ideal is optimize_r2(gamma), computed when omitted."""
     g = _check_open_range(gamma)
-    ideal = optimize_r2(gamma)
+    if ideal is None:
+        ideal = optimize_r2(gamma)
     eta = ideal.params["eta"]
     ps = np.linspace(0.0, 0.5, P_POINTS)
-    probs = _trunc_conditional_probs(g)(np.array([eta]))
-    grid = _symmetric_prior_rates(probs, ps)[0]
+    probs = _trunc_conditional_probs(g)(eta)  # (outcome, letter)
+    grid = _symmetric_prior_rates(probs, ps)
     pi = int(np.argmax(grid))
     lo = max(0.0, ps[pi] - 2.0 * (0.5 / (P_POINTS - 1)))
     hi = min(0.5, ps[pi] + 2.0 * (0.5 / (P_POINTS - 1)))
     result = minimize_scalar(
-        lambda p: -_symmetric_prior_rates(probs, np.array([p]))[0, 0],
+        lambda p: -_symmetric_prior_rates(probs, p),
         bounds=(lo, hi),
         method="bounded",
         options={"xatol": 1e-12},

@@ -202,8 +202,9 @@ def rate(eta: float, p: float, gamma: Angle) -> float:
     return measured_mutual_information(ensemble, basis) / 2.0
 
 
-def _rate_grid(gamma_rad: float, etas: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Vectorized rate over an (eta, p) grid; rows index eta, columns p.
+def _rate_grid(gamma_rad: float, etas: np.ndarray | float, ps: np.ndarray | float):
+    """Vectorized rate over an (eta, p) grid: the axes of etas, then those of
+    ps, so 1-D grids give rate[eta, p] and floats give one rate.
 
     Uses the closed-form frame amplitudes: letters a, b, c have frame
     coordinates (cos g, sin g/sqrt2, +-sin g/sqrt2) and (1, 0, 0).  Agreement
@@ -215,25 +216,26 @@ def _rate_grid(gamma_rad: float, etas: np.ndarray, ps: np.ndarray) -> np.ndarray
     amp_b1 = cg * se / SQRT2 + sg * (ce - 1.0) / 2.0
     amp_c1 = se / SQRT2
     amp_a3 = cg * ce - sg * se / SQRT2
-    probs = np.empty((etas.size, 3, 3))  # (eta, outcome, letter)
-    probs[:, 0, 0] = amp_a1
-    probs[:, 0, 1] = amp_b1
-    probs[:, 0, 2] = amp_c1
-    probs[:, 1, 0] = amp_b1
-    probs[:, 1, 1] = amp_a1
-    probs[:, 1, 2] = amp_c1
-    probs[:, 2, 0] = amp_a3
-    probs[:, 2, 1] = amp_a3
-    probs[:, 2, 2] = ce
+    probs = np.empty(np.shape(etas) + (3, 3))  # (eta, outcome, letter)
+    probs[..., 0, 0] = amp_a1
+    probs[..., 0, 1] = amp_b1
+    probs[..., 0, 2] = amp_c1
+    probs[..., 1, 0] = amp_b1
+    probs[..., 1, 1] = amp_a1
+    probs[..., 1, 2] = amp_c1
+    probs[..., 2, 0] = amp_a3
+    probs[..., 2, 1] = amp_a3
+    probs[..., 2, 2] = ce
     np.square(probs, out=probs)
     return _symmetric_prior_rates(probs, ps)
 
 
-def _symmetric_prior_rates(probs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Rates [eta, p] from P[eta, outcome, letter] over the letters (a, b, c)
-    with priors (p, p, 1 - 2p)."""
+def _symmetric_prior_rates(probs: np.ndarray, ps: np.ndarray | float):
+    """Rates [eta..., p...] from P[eta..., outcome, letter] over the letters
+    (a, b, c) with priors (p, p, 1 - 2p)."""
     priors = np.stack([ps, ps, 1.0 - 2.0 * ps], axis=-1)  # (p, letter)
-    return mutual_information(probs[:, None], priors) / 2.0
+    probs = probs.reshape(probs.shape[:-2] + (1,) * np.ndim(ps) + probs.shape[-2:])  # p axes
+    return mutual_information(probs, priors) / 2.0
 
 
 def _check_open_range(gamma: Angle) -> float:
@@ -242,7 +244,7 @@ def _check_open_range(gamma: Angle) -> float:
     return gamma.radians
 
 
-_RateGrid = Callable[[np.ndarray, np.ndarray], np.ndarray]  # (etas, ps) -> rate[eta, p]
+_RateGrid = Callable[[np.ndarray, np.ndarray], np.ndarray]  # (etas, ps) -> rates, as _rate_grid
 
 
 def _grid_then_refine(rate_grid_at: Callable[[float], _RateGrid], gamma: Angle) -> RateResult:
@@ -250,8 +252,9 @@ def _grid_then_refine(rate_grid_at: Callable[[float], _RateGrid], gamma: Angle) 
     rate_grid_at(gamma_rad) holds whatever the family builds once per angle.
 
     Coarse (eta, p) grid followed by Nelder-Mead refinement from the best
-    cell, bounded to its neighborhood.  Exact grid ties resolve to the
-    smallest eta, then smallest p (row-major argmax order).
+    cell, bounded to its neighborhood, which evaluates rate_grid at float
+    (eta, p).  Exact grid ties resolve to the smallest eta, then smallest p
+    (row-major argmax order).
     """
     rate_grid = rate_grid_at(_check_open_range(gamma))
     etas = np.linspace(0.0, math.pi, ETA_POINTS, endpoint=False)
@@ -266,7 +269,7 @@ def _grid_then_refine(rate_grid_at: Callable[[float], _RateGrid], gamma: Angle) 
     ]
 
     def negative_rate(x: np.ndarray) -> float:
-        return -rate_grid(np.array([x[0]]), np.array([x[1]]))[0, 0]
+        return -rate_grid(float(x[0]), float(x[1]))
 
     result = minimize(
         negative_rate,

@@ -1,11 +1,15 @@
+import os
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from superadd import cli
+from superadd import cli, coherent, twoshot
 from superadd.capacities import c1
+from superadd.coherent import optimize_r2_truncated_reused
 from superadd.statespace import Angle
 
 
@@ -112,6 +116,26 @@ class TestSweep:
         run_cli(args + ["--out", str(second)], capsys)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_ideal_optimum_solved_once_per_row(self, monkeypatch):
+        # r2trunc_reused reads the row's r2 optimum instead of solving it again
+        calls = Counter()
+        optimize_r2 = twoshot.optimize_r2
+
+        def counted(gamma):
+            calls[gamma.degrees] += 1
+            return optimize_r2(gamma)
+
+        for module in (twoshot, coherent):
+            monkeypatch.setattr(module, "optimize_r2", counted)
+        table = cli.sweep_table(2.0, 20.0, 3, ["r2", "r2trunc_reused"])
+        assert sorted(calls.values()) == [1, 1, 1]
+        monkeypatch.undo()
+        for deg, reused in zip(table.gamma_deg, table.columns["r2trunc_reused"]):
+            gamma = Angle.from_degrees(deg)
+            alone = optimize_r2_truncated_reused(gamma)
+            assert optimize_r2_truncated_reused(gamma, ideal=optimize_r2(gamma)) == alone
+            assert reused == alone.bits_per_transmission
+
     def test_bad_grid_arguments(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
         assert run_cli(["sweep", "--from", "10", "--to", "20", "--steps", "1",
@@ -175,18 +199,21 @@ class TestMc:
         assert empirical == pytest.approx(analytic, abs=0.02)
 
 
+def run_module(*args):
+    """python -m superadd in a subprocess that imports the package under test,
+    also when pytest alone put it on the path."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "superadd", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "superadd", "point", "--gamma", "90", "--which", "cinf"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("point", "--gamma", "90", "--which", "cinf")
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "1.0000000000"
 
     def test_argparse_rejects_unknown_choice(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "superadd", "point", "--gamma", "10", "--which", "bogus"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("point", "--gamma", "10", "--which", "bogus")
         assert proc.returncode == 2

@@ -3,12 +3,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from superadd import coherent
 from superadd.capacities import c1
 from superadd.coherent import (
     CoherentAlphabet,
     _photon_rows,
+    _trunc_conditional_probs,
     _trunc_rate_grid,
     alpha_from_gamma,
     optimize_r2_truncated,
@@ -19,7 +22,7 @@ from superadd.coherent import (
     two_shot_coherent_alphabet,
 )
 from superadd.statespace import Angle
-from superadd.twoshot import ansatz_basis, ansatz_rows, optimize_r2
+from superadd.twoshot import _symmetric_prior_rates, ansatz_basis, ansatz_rows, optimize_r2
 
 
 def deg(d):
@@ -61,7 +64,7 @@ class TestPhotonBasis:
         rng = np.random.default_rng(8)
         for _ in range(25):
             gamma = deg(rng.uniform(0.5, 89.5))
-            rows = np.vstack([v.coords for v in photon_basis(rng.uniform(0, math.pi), gamma)])
+            rows = photon_basis(rng.uniform(0, math.pi), gamma)
             assert np.abs(rows @ rows.T - np.eye(3)).max() < 1e-10
 
     def test_equals_symmetric_construction_on_photon_letters(self):
@@ -71,7 +74,7 @@ class TestPhotonBasis:
             gamma = deg(gamma_deg)
             a, b, c, _ = (s.coords for s in two_shot_coherent_alphabet(gamma))
             expected = ansatz_rows(eta, a, b, c)
-            rows = np.vstack([v.coords for v in photon_basis(eta, gamma)])
+            rows = photon_basis(eta, gamma)
             assert np.abs(rows - expected).max() < 1e-12
 
     def test_letter_projections_match_ideal_family(self):
@@ -79,7 +82,7 @@ class TestPhotonBasis:
         # letters must agree with the ideal construction
         gamma = deg(20)
         eta = 0.9
-        photon_rows = np.vstack([v.coords for v in photon_basis(eta, gamma)])
+        photon_rows = photon_basis(eta, gamma)
         photon_letters = np.vstack([s.coords for s in two_shot_coherent_alphabet(gamma)[:3]])
         ideal_rows = ansatz_basis(eta, gamma).matrix
         from superadd.statespace import two_shot_alphabet
@@ -90,12 +93,10 @@ class TestPhotonBasis:
     def test_two_photon_component_is_order_alpha(self):
         eta_star = optimize_r2(deg(10)).params["eta"]
         alpha = alpha_from_gamma(deg(10))
-        e1 = photon_basis(eta_star, deg(10))[0]
-        assert abs(e1.c11) < 5 * alpha
+        assert abs(photon_basis(eta_star, deg(10))[0, 3]) < 5 * alpha
         for d in [2.0, 10.0, 40.0, 70.0]:
             alpha = alpha_from_gamma(deg(d))
-            for v in photon_basis(0.8, deg(d)):
-                assert abs(v.c11) <= 3.0 * alpha
+            assert np.abs(photon_basis(0.8, deg(d))[:, 3]).max() <= 3.0 * alpha
 
 
 class TestTruncatedBasis:
@@ -113,7 +114,7 @@ class TestTruncatedBasis:
     def test_distortion_scales_with_alpha(self):
         def gap(d):
             gamma = deg(d)
-            original = np.vstack([v.coords for v in photon_basis(0.7, gamma)])
+            original = photon_basis(0.7, gamma)
             clipped = truncated_orthonormal_basis(0.7, gamma).matrix
             return np.linalg.norm(clipped - original, axis=1).max()
 
@@ -168,9 +169,29 @@ class TestTruncatedRate:
             gamma_rad = rng.uniform(0.05, math.pi / 2 - 0.05)
             eta = rng.uniform(0.0, math.pi)
             p = rng.uniform(0.0, 0.5)
-            fast = _trunc_rate_grid(gamma_rad)(np.array([eta]), np.array([p]))[0, 0]
+            fast = _trunc_rate_grid(gamma_rad)(eta, p)
             slow = rate_truncated(eta, p, Angle(gamma_rad))
             assert fast == pytest.approx(slow, abs=1e-12)
+
+    @given(
+        gamma_deg=st.floats(0.0, 90.0, exclude_min=True, exclude_max=True),
+        eta=st.floats(-2 * math.pi / 240, math.pi + 2 * math.pi / 240),
+        p=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+    )
+    def test_float_call_equals_one_element_call(self, gamma_deg, eta, p):
+        # both optimizers evaluate their points with floats; the values, and
+        # so the search paths, must be those of the one-element arrays bit for bit
+        gamma_rad = math.radians(gamma_deg)
+        one_cell = _trunc_rate_grid(gamma_rad)(np.array([eta]), np.array([p]))
+        assert one_cell.shape == (1, 1)
+        assert _trunc_rate_grid(gamma_rad)(eta, p) == one_cell[0, 0]
+        probs = _trunc_conditional_probs(gamma_rad)(np.array([eta]))
+        assert np.array_equal(_trunc_conditional_probs(gamma_rad)(eta), probs[0])
+        assert (_symmetric_prior_rates(probs[0], p)
+                == _symmetric_prior_rates(probs, np.array([p]))[0, 0])
+        ps = np.linspace(0.0, 0.5, 101)
+        assert np.array_equal(_symmetric_prior_rates(probs[0], ps),
+                              _symmetric_prior_rates(probs, ps)[0])
 
     def test_prior_out_of_range_rejected(self):
         with pytest.raises(ValueError):

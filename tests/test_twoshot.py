@@ -122,9 +122,22 @@ class TestRateFunctional:
             gamma_rad = rng.uniform(0.02, math.pi / 2 - 0.02)
             eta = rng.uniform(0.0, math.pi)
             p = rng.uniform(0.0, 0.5)
-            fast = _rate_grid(gamma_rad, np.array([eta]), np.array([p]))[0, 0]
+            fast = _rate_grid(gamma_rad, eta, p)
             slow = rate(eta, p, Angle(gamma_rad))
             assert fast == pytest.approx(slow, abs=1e-12)
+
+    @given(
+        gamma_deg=st.floats(0.0, 90.0, exclude_min=True, exclude_max=True),
+        eta=st.floats(-2 * math.pi / 240, math.pi + 2 * math.pi / 240),
+        p=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+    )
+    def test_float_call_equals_one_element_call(self, gamma_deg, eta, p):
+        # Nelder-Mead points call the grid with floats; the values, and so
+        # the search paths, must be those of the 1 x 1 grid bit for bit
+        gamma_rad = math.radians(gamma_deg)
+        one_cell = _rate_grid(gamma_rad, np.array([eta]), np.array([p]))
+        assert one_cell.shape == (1, 1)
+        assert _rate_grid(gamma_rad, eta, p) == one_cell[0, 0]
 
 
 class TestAnsatzParams:
