@@ -58,7 +58,8 @@ _QUANTITIES: dict[str, Callable[[Angle, int, Callable[[str], _Result]], _Result]
     "r2trunc": lambda gamma, seed, result: coherent.optimize_r2_truncated(gamma),
     "r2trunc_reused": lambda gamma, seed, result: coherent.optimize_r2_truncated_reused(
         gamma, ideal=result("r2")),
-    "r2gen": lambda gamma, seed, result: twoshot.optimize_general(gamma, seed=seed),
+    "r2gen": lambda gamma, seed, result: twoshot.optimize_general(gamma, seed=seed,
+                                                                  ideal=result("r2")),
 }
 # Sweep columns derived from other columns' values.
 _DERIVED_COLUMNS: dict[str, Callable[[Callable[[str], float]], float]] = {

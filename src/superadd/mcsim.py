@@ -3,8 +3,14 @@
 Each trial draws a letter from the priors and an outcome from the squared
 amplitudes, so the empirical mutual information of the joint counts must
 converge on the analytic value.  Trials are split into fixed-size blocks,
-each with its own stream derived from the master seed, so the counts are
-reproducible no matter how the blocks would be scheduled.
+each with its own child stream of the master seed, so the counts depend on
+the seed and the sample count alone.
+
+Both draws are tallied by comparing uniforms with the edges of a cumulative
+distribution, one vector compare per edge.  The letter is the number of
+prior-CDF edges at or below its uniform, which is the draw and the
+searchsorted(side="right") of Generator.choice(p=priors), so the letters, and
+with them every count, are bit-identical to drawing through Generator.choice.
 """
 
 from __future__ import annotations
@@ -55,22 +61,47 @@ class JointCounts:
         object.__setattr__(self, "counts", counts)
         if counts.ndim != 2:
             raise ValueError("counts must be a 2-d letter x outcome matrix")
-        if counts.min() < 0:
-            raise ValueError("counts must be nonnegative")
-        if int(counts.sum()) != self.total:
-            raise ValueError(f"counts sum to {counts.sum()}, total says {self.total}")
+        _check_tables(counts, self.total)
+
+
+def _check_tables(counts: np.ndarray, total: int) -> None:
+    """Every letter x outcome table in the trailing two axes of counts is
+    nonnegative and sums to total."""
+    if counts.min() < 0:
+        raise ValueError("counts must be nonnegative")
+    sums = counts.sum(axis=(-2, -1))
+    if np.any(sums != total):
+        raise ValueError(f"counts sum to {sums[sums != total].flat[0]}, total says {total}")
+
+
+def _draw_letters(rng: np.random.Generator, priors: np.ndarray, size: int) -> np.ndarray:
+    """rng.choice(len(priors), size, p=priors), bit for bit and consuming
+    the same uniforms, by one vector compare per prior-CDF edge."""
+    edges = np.cumsum(priors)
+    edges /= edges[-1]  # choice's normalization: edges[-1] == 1 > every uniform
+    uniforms = rng.random(size)
+    letters = np.zeros(size, dtype=np.intp)
+    for edge in edges[:-1]:
+        letters += uniforms >= edge
+    return letters
 
 
 def simulate(config: SimConfig) -> JointCounts:
     """Sample the measurement record and tally the joint letter/outcome counts.
 
     Deterministic for a fixed config: block k always consumes the k-th child
-    stream of the master seed.
+    stream of the master seed, first the letter uniforms, then the outcome
+    uniforms.
     """
     priors = config.ensemble.priors
     cond = config.outcome_probabilities()  # (letter, outcome)
     n_letters, n_outcomes = cond.shape
-    cdf = np.cumsum(cond, axis=1)
+    # A CDF row is a cumsum of squared amplitudes, so it never decreases: the
+    # entries a uniform is at or above form a prefix of the row.  Counting
+    # only the first n_outcomes - 1 columns therefore equals the count over
+    # all columns clipped to n_outcomes - 1, the guard for a last entry that
+    # rounds below a uniform.
+    cdf_columns = np.cumsum(cond, axis=1).T[:-1].copy()  # (outcome - 1, letter)
     blocks = math.ceil(config.samples / BLOCK_SIZE)
     streams = np.random.SeedSequence(config.seed).spawn(blocks)
     counts = np.zeros(n_letters * n_outcomes, dtype=np.int64)
@@ -79,12 +110,25 @@ def simulate(config: SimConfig) -> JointCounts:
         block = min(BLOCK_SIZE, remaining)
         remaining -= block
         rng = np.random.default_rng(stream)
-        letters = rng.choice(n_letters, size=block, p=priors)
+        letters = _draw_letters(rng, priors, block)
         uniforms = rng.random(block)
-        outcomes = (uniforms[:, None] >= cdf[letters]).sum(axis=1)
-        np.minimum(outcomes, n_outcomes - 1, out=outcomes)  # guard the cdf float edge
-        counts += np.bincount(letters * n_outcomes + outcomes, minlength=counts.size)
+        cells = letters * n_outcomes
+        for column in cdf_columns:
+            cells += uniforms >= column.take(letters)
+        counts += np.bincount(cells, minlength=counts.size)
     return JointCounts(counts=counts.reshape(n_letters, n_outcomes), total=config.samples)
+
+
+def _miller_madow_bits(counts: np.ndarray, total: int) -> np.ndarray:
+    """Miller-Madow mutual information, in bits, of each letter x outcome
+    table in the trailing two axes of counts; the leading axes stay."""
+    joint = counts / total
+    rows = joint.sum(axis=-1)
+    cols = joint.sum(axis=-2)
+    mi = _xlog2x(joint).sum(axis=(-2, -1)) - _xlog2x(rows).sum(axis=-1) - _xlog2x(cols).sum(axis=-1)
+    # (support_rows - 1) + (support_cols - 1) - (support_joint - 1)
+    support = (rows > 0).sum(axis=-1) + (cols > 0).sum(axis=-1) - (joint > 0).sum(axis=(-2, -1)) - 1
+    return mi + support / (2.0 * total * LN2)
 
 
 def empirical_mi(counts: JointCounts) -> float:
@@ -96,18 +140,7 @@ def empirical_mi(counts: JointCounts) -> float:
     """
     if counts.total < 1:
         raise ValueError("need at least one count")
-    joint = counts.counts / counts.total
-    rows = joint.sum(axis=1)
-    cols = joint.sum(axis=0)
-    mi = float(
-        _xlog2x(joint).sum() - _xlog2x(rows).sum() - _xlog2x(cols).sum()
-    )
-    support_rows = int((rows > 0).sum())
-    support_cols = int((cols > 0).sum())
-    support_joint = int((joint > 0).sum())
-    return mi + ((support_rows - 1) + (support_cols - 1) - (support_joint - 1)) / (
-        2.0 * counts.total * LN2
-    )
+    return float(_miller_madow_bits(counts.counts, counts.total))
 
 
 def bootstrap_standard_error(counts: JointCounts, resamples: int = 100, seed: int = 0) -> float:
@@ -115,11 +148,9 @@ def bootstrap_standard_error(counts: JointCounts, resamples: int = 100, seed: in
     resampling of the joint cells."""
     if resamples < 2:
         raise ValueError("need at least two resamples")
-    cells = counts.counts.ravel()
-    probs = cells / counts.total
+    probs = counts.counts.ravel() / counts.total
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    values = np.empty(resamples)
-    for k in range(resamples):
-        resampled = rng.multinomial(counts.total, probs).reshape(counts.counts.shape)
-        values[k] = empirical_mi(JointCounts(counts=resampled, total=counts.total))
-    return float(values.std(ddof=1))
+    tables = rng.multinomial(counts.total, probs, size=resamples).reshape(
+        (resamples,) + counts.counts.shape)
+    _check_tables(tables, counts.total)
+    return float(_miller_madow_bits(tables, counts.total).std(ddof=1))

@@ -430,7 +430,7 @@ def _anneal_lockstep(x: np.ndarray, letters: np.ndarray, rng: np.random.Generato
     return best_x, best_f
 
 
-def optimize_general(gamma: Angle, seed: int) -> RateResult:
+def optimize_general(gamma: Angle, seed: int, ideal: RateResult | None = None) -> RateResult:
     """Lower-bound probe over every four-outcome von Neumann measurement and
     every prior on the four letters.
 
@@ -441,12 +441,14 @@ def optimize_general(gamma: Angle, seed: int) -> RateResult:
     on both.  converged is the success flag of the polish run that gave the
     returned optimum.  The value is a lower bound on the two-shot capacity,
     nothing more: the parameterization covers rotations only up to projector
-    sign, which is enough because outcomes are rank one.
+    sign, which is enough because outcomes are rank one.  ideal is
+    optimize_r2(gamma), the symmetric-family optimum, computed when omitted.
     """
     _check_open_range(gamma)
     letters = _letters_matrix(gamma)
-    ansatz = optimize_r2(gamma)
-    starts = np.array([_product_measurement_start(gamma), _ansatz_start(gamma, ansatz)])
+    if ideal is None:
+        ideal = optimize_r2(gamma)
+    starts = np.array([_product_measurement_start(gamma), _ansatz_start(gamma, ideal)])
 
     rng = np.random.default_rng(seed)
     samples = _general_rates(_random_thetas(rng, TEMPERATURE_SAMPLES), letters)

@@ -117,7 +117,8 @@ class TestSweep:
         assert first.read_bytes() == second.read_bytes()
 
     def test_ideal_optimum_solved_once_per_row(self, monkeypatch):
-        # r2trunc_reused reads the row's r2 optimum instead of solving it again
+        # r2trunc_reused and r2gen read the row's r2 optimum instead of
+        # solving it again
         calls = Counter()
         optimize_r2 = twoshot.optimize_r2
 
@@ -127,7 +128,7 @@ class TestSweep:
 
         for module in (twoshot, coherent):
             monkeypatch.setattr(module, "optimize_r2", counted)
-        table = cli.sweep_table(2.0, 20.0, 3, ["r2", "r2trunc_reused"])
+        table = cli.sweep_table(2.0, 20.0, 3, ["r2", "r2trunc_reused", "r2gen"], seed=4)
         assert sorted(calls.values()) == [1, 1, 1]
         monkeypatch.undo()
         for deg, reused in zip(table.gamma_deg, table.columns["r2trunc_reused"]):
@@ -135,6 +136,10 @@ class TestSweep:
             alone = optimize_r2_truncated_reused(gamma)
             assert optimize_r2_truncated_reused(gamma, ideal=optimize_r2(gamma)) == alone
             assert reused == alone.bits_per_transmission
+        gamma = Angle.from_degrees(table.gamma_deg[1])
+        alone = twoshot.optimize_general(gamma, seed=4)
+        assert twoshot.optimize_general(gamma, seed=4, ideal=optimize_r2(gamma)) == alone
+        assert table.columns["r2gen"][1] == alone.bits_per_transmission
 
     def test_bad_grid_arguments(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")

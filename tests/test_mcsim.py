@@ -1,10 +1,14 @@
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from superadd import mcsim
-from superadd.capacities import Ensemble
+from superadd import cli, mcsim
+from superadd.capacities import Ensemble, _xlog2x
 from superadd.mcsim import JointCounts, SimConfig, bootstrap_standard_error, empirical_mi, simulate
 from superadd.statespace import Angle, MeasurementBasis, StateVector, embed_alphabet, two_shot_alphabet
 from superadd.twoshot import ansatz_basis, optimize_r2
@@ -14,10 +18,13 @@ def deg(d):
     return Angle.from_degrees(d)
 
 
-def optimal_two_shot_setup(gamma_deg=10.0):
+def optimal_two_shot_setup(gamma_deg=10.0, p=None):
+    """Gate 8's channel: the optimal symmetric-family measurement and, unless
+    p is given, its optimal prior."""
     gamma = deg(gamma_deg)
     result = optimize_r2(gamma)
-    p, eta = result.params["p"], result.params["eta"]
+    p = result.params["p"] if p is None else p
+    eta = result.params["eta"]
     a, b, c, _ = two_shot_alphabet(gamma)
     ensemble = Ensemble(((p, a), (p, b), (1 - 2 * p, c)))
     return ensemble, ansatz_basis(eta, gamma), 2 * result.bits_per_transmission
@@ -44,6 +51,7 @@ class TestSimulate:
         counts = simulate(SimConfig(samples=20_000, seed=9, ensemble=ensemble, basis=basis))
         assert counts.counts[0, 1] == 0
         assert counts.counts[1, 0] == 0
+        assert counts.counts.tolist() == [[10098, 0], [0, 9902]]  # pinned, as TestPinnedOutputs
 
     def test_degenerate_prior_populates_one_row(self):
         u0, u1 = embed_alphabet(deg(40))
@@ -121,3 +129,175 @@ class TestConsistency:
         counts = JointCounts(counts=np.diag([10, 10]), total=20)
         with pytest.raises(ValueError, match="resample"):
             bootstrap_standard_error(counts, resamples=1)
+
+
+# The per-sample algorithm that simulate replaced, kept as its oracle: the
+# letters from Generator.choice, then a (block, outcome) compare against each
+# sample's CDF row, clipped to the last outcome.
+def oracle_simulate(config: SimConfig) -> np.ndarray:
+    priors = config.ensemble.priors
+    cdf = np.cumsum(config.outcome_probabilities(), axis=1)
+    n_letters, n_outcomes = cdf.shape
+    streams = np.random.SeedSequence(config.seed).spawn(math.ceil(config.samples / mcsim.BLOCK_SIZE))
+    counts = np.zeros((n_letters, n_outcomes), dtype=np.int64)
+    remaining = config.samples
+    for stream in streams:
+        block = min(mcsim.BLOCK_SIZE, remaining)
+        remaining -= block
+        rng = np.random.default_rng(stream)
+        letters = rng.choice(n_letters, size=block, p=priors)
+        uniforms = rng.random(block)
+        outcomes = (uniforms[:, None] >= cdf[letters]).sum(axis=1)
+        np.minimum(outcomes, n_outcomes - 1, out=outcomes)
+        np.add.at(counts, (letters, outcomes), 1)
+    return counts
+
+
+# The scalar Miller-Madow estimate and the per-resample bootstrap loop that
+# the batched kernel replaced, kept as its oracle.
+def oracle_mi(counts: JointCounts) -> float:
+    joint = counts.counts / counts.total
+    rows = joint.sum(axis=1)
+    cols = joint.sum(axis=0)
+    mi = float(_xlog2x(joint).sum() - _xlog2x(rows).sum() - _xlog2x(cols).sum())
+    support_rows = int((rows > 0).sum())
+    support_cols = int((cols > 0).sum())
+    support_joint = int((joint > 0).sum())
+    return mi + ((support_rows - 1) + (support_cols - 1) - (support_joint - 1)) / (
+        2.0 * counts.total * math.log(2.0)
+    )
+
+
+def oracle_bootstrap(counts: JointCounts, resamples: int, seed: int) -> float:
+    probs = counts.counts.ravel() / counts.total
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    values = [
+        empirical_mi(JointCounts(
+            counts=rng.multinomial(counts.total, probs).reshape(counts.counts.shape),
+            total=counts.total))
+        for _ in range(resamples)
+    ]
+    return float(np.std(values, ddof=1))
+
+
+weights = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+prior_lists = st.lists(weights, min_size=1, max_size=5).filter(lambda w: sum(w) > 0)
+
+
+def normalized(w) -> np.ndarray:
+    return np.array(w) / sum(w)
+
+
+@st.composite
+def channels(draw):
+    """Random priors (zeros included), unit states and a complete basis."""
+    priors = normalized(draw(prior_lists))
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = rng.normal(size=(priors.size, dim))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    ensemble = Ensemble(tuple((float(p), StateVector(v)) for p, v in zip(priors, states)))
+    return ensemble, MeasurementBasis.from_rows(basis.T)
+
+
+class TestComparisonTally:
+    @given(channel=channels(), samples=st.integers(1, 2_000), seed=st.integers(0, 2**32 - 1),
+           block=st.integers(1, 700))
+    def test_equals_per_sample_oracle(self, channel, samples, seed, block):
+        ensemble, basis = channel
+        config = SimConfig(samples=samples, seed=seed, ensemble=ensemble, basis=basis)
+        with mock.patch.object(mcsim, "BLOCK_SIZE", block):
+            assert np.array_equal(simulate(config).counts, oracle_simulate(config))
+
+    @given(w=prior_lists, size=st.integers(0, 3_000), seed=st.integers(0, 2**32 - 1))
+    def test_letter_draw_is_generator_choice(self, w, size, seed):
+        # fails if a numpy release changes how Generator.choice draws with p=
+        priors = normalized(w)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        letters = mcsim._draw_letters(ours, priors, size)
+        assert np.array_equal(letters, theirs.choice(priors.size, size=size, p=priors))
+        assert ours.random() == theirs.random()  # the same stream position after
+
+    def test_draw_on_an_edge_goes_past_it(self):
+        # One sample whose letter uniform equals the first prior edge and
+        # whose outcome uniform equals the chosen letter's first CDF entry:
+        # searchsorted(side="right") puts both past the edge.
+        rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
+        u, v = rng.random(), rng.random()
+        (c,) = [c for c in (math.sqrt(v), np.nextafter(math.sqrt(v), 0.0),
+                            np.nextafter(math.sqrt(v), 1.0)) if c * c == v]
+        s = math.sqrt(1.0 - c * c)
+        ensemble = Ensemble(((u, StateVector(np.array([0.0, 1.0]))),
+                             (1.0 - u, StateVector(np.array([1.0, 0.0])))))
+        edges = np.cumsum(ensemble.priors)
+        assert edges[0] / edges[-1] == u
+        basis = MeasurementBasis.from_rows([[c, s], [-s, c]])
+        config = SimConfig(samples=1, seed=0, ensemble=ensemble, basis=basis)
+        assert np.cumsum(config.outcome_probabilities(), axis=1)[1, 0] == v
+        assert simulate(config).counts.tolist() == [[0, 0], [0, 1]]
+        assert oracle_simulate(config).tolist() == [[0, 0], [0, 1]]
+
+    def test_letter_draw_normalizes_like_choice(self):
+        # priors summing to 1 - 1e-9, inside choice's tolerance: normalized,
+        # the first edge lies just above the first uniform; raw, at it
+        u = np.random.default_rng(5).random()
+        priors = np.array([u, 1.0 - u - 1e-9])
+        assert mcsim._draw_letters(np.random.default_rng(5), priors, 1).tolist() == [0]
+        assert np.random.default_rng(5).choice(2, size=1, p=priors).tolist() == [0]
+
+    def test_cdf_row_short_of_one_clips_to_last_outcome(self):
+        # rows summing to 0.5 and 0.2 exaggerate a last CDF entry that
+        # rounds below a uniform: every uniform past it lands on the last
+        # outcome, as the oracle's clip puts it
+        cond = np.array([[0.2, 0.1, 0.2], [0.1, 0.05, 0.05]])
+        config = SimpleNamespace(samples=5_000, seed=8, outcome_probabilities=lambda: cond,
+                                 ensemble=SimpleNamespace(priors=np.array([0.5, 0.5])))
+        counts = simulate(config).counts
+        assert np.array_equal(counts, oracle_simulate(config))
+        assert counts[:, 2].sum() > counts[:, :2].sum()
+
+    @given(cells=st.lists(st.integers(0, 60), min_size=1, max_size=16).filter(lambda c: sum(c) > 0),
+           letters=st.integers(1, 4), resamples=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+    def test_batched_bootstrap_equals_resample_loop(self, cells, letters, resamples, seed):
+        table = np.resize(np.array(cells), (letters, math.ceil(len(cells) / letters)))
+        counts = JointCounts(counts=table, total=int(table.sum()))
+        assert empirical_mi(counts) == oracle_mi(counts)
+        assert bootstrap_standard_error(counts, resamples, seed) == oracle_bootstrap(
+            counts, resamples, seed)
+
+
+# Recorded before simulate and bootstrap_standard_error moved to the
+# comparison tally and the batched bootstrap: every count and every printed
+# digit must stay.
+GATE_8_COUNTS = [[290583, 176704, 42], [176770, 291255, 37], [32008, 31437, 1164]]
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("samples, seed, p, expected", [
+        (1_000_000, 1, None, GATE_8_COUNTS),
+        (mcsim.BLOCK_SIZE - 1, 3, None, [[72366, 44011, 8], [44393, 73056, 9], [7880, 8018, 258]]),
+        (mcsim.BLOCK_SIZE + 1, 3, None, [[72351, 44026, 10], [44450, 73000, 8], [7918, 7982, 256]]),
+        (7, 3, None, [[2, 2, 0], [0, 3, 0], [0, 0, 0]]),
+        # p = 0.5 leaves letter c a zero prior
+        (100_000, 6, 0.5, [[30802, 18932, 6], [19004, 31252, 4], [0, 0, 0]]),
+    ])
+    def test_counts_at_10_deg(self, samples, seed, p, expected):
+        ensemble, basis, _ = optimal_two_shot_setup(10.0, p=p)
+        config = SimConfig(samples=samples, seed=seed, ensemble=ensemble, basis=basis)
+        assert simulate(config).counts.tolist() == expected
+
+    def test_gate_8_estimate_and_standard_error(self):
+        counts = JointCounts(counts=np.array(GATE_8_COUNTS), total=1_000_000)
+        assert empirical_mi(counts) == 0.0448284001851573
+        assert bootstrap_standard_error(counts, resamples=100, seed=2) == 0.00038913126081901257
+
+    def test_mc_stdout(self, capsys):
+        assert cli.main(["mc", "--gamma", "10", "--samples", "300000", "--seed", "5"]) == 0
+        assert capsys.readouterr().out == (
+            "analytic_mi_bits = 0.0445943845\n"
+            "empirical_mi_bits = 0.0444043685\n"
+            "bootstrap_se = 7.0137e-04\n"
+            "z = -0.271\n"
+            "RESULT: PASS (3 sigma)\n"
+        )
