@@ -8,7 +8,8 @@ Writes, under --out-dir (default results/):
 
 The two-shot sweep is the slow one: three optimizations per grid point, the
 reused-eta column taking its eta from the row's r2 optimum.  The whole script
-takes about 1.5 s on a 2-vCPU host; pass --quick for coarser grids.
+takes about 1.4 s on a 2-vCPU host, 0.5 s of it the import; pass --quick for
+coarser grids (about 1 s).
 """
 
 import argparse

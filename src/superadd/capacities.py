@@ -176,9 +176,10 @@ def mutual_information(probs: np.ndarray, priors: np.ndarray) -> np.ndarray:
     shape.  No clamping or completeness check: inputs must already be
     nonnegative (squared amplitudes, for instance).
     """
-    # einsum's summation order is the one the pinned symmetric-family optimizer
-    # values depend on; matmul or sum() round differently in the last bit,
-    # which moves the Nelder-Mead paths.
+    # matmul or sum() round differently from einsum in the last bit, which can
+    # move optimize_general's search paths.  The pinned symmetric-family
+    # values do not come through here: they depend on the summation order
+    # written out in twoshot._symmetric_prior_rates.
     mixture = np.einsum("...kx,...x->...k", probs, priors)
     h_mixture = -_xlog2x(mixture).sum(axis=-1)
     h_letters = -_xlog2x(probs).sum(axis=-2)

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .capacities import LN2, Ensemble, RateResult, c1
+from .capacities import LN2, Ensemble, RateResult, _xlog2x, c1
 from .capacities import measured_mutual_information, mutual_information
 from .errors import BracketingError
 from .statespace import Angle, MeasurementBasis, two_shot_alphabet
@@ -208,14 +209,21 @@ def _rate_grid(gamma_rad: float, etas: np.ndarray | float, ps: np.ndarray | floa
 
     Uses the closed-form frame amplitudes: letters a, b, c have frame
     coordinates (cos g, sin g/sqrt2, +-sin g/sqrt2) and (1, 0, 0).  Agreement
-    with rate() is covered by tests.
+    with rate() is covered by tests.  Float eta and p stay in Python floats
+    (see _symmetric_prior_rate).
     """
     cg, sg = math.cos(gamma_rad), math.sin(gamma_rad)
     ce, se = np.cos(etas), np.sin(etas)
+    point = isinstance(etas, float) and isinstance(ps, float)
+    if point:
+        ce, se = float(ce), float(se)
     amp_a1 = cg * se / SQRT2 + sg * (ce + 1.0) / 2.0
     amp_b1 = cg * se / SQRT2 + sg * (ce - 1.0) / 2.0
     amp_c1 = se / SQRT2
     amp_a3 = cg * ce - sg * se / SQRT2
+    if point:
+        pa1, pb1, pc1, pa3, pc3 = (amp * amp for amp in (amp_a1, amp_b1, amp_c1, amp_a3, ce))
+        return _symmetric_prior_rate([(pa1, pb1, pc1), (pb1, pa1, pc1), (pa3, pa3, pc3)], float(ps))
     probs = np.empty(np.shape(etas) + (3, 3))  # (eta, outcome, letter)
     probs[..., 0, 0] = amp_a1
     probs[..., 0, 1] = amp_b1
@@ -230,12 +238,54 @@ def _rate_grid(gamma_rad: float, etas: np.ndarray | float, ps: np.ndarray | floa
     return _symmetric_prior_rates(probs, ps)
 
 
+def _prior_weighted(a, b, c, p, q):
+    """a p + b p + c q over the letters (a, b, c), summed as (a p + c q) + b p."""
+    return (a * p + c * q) + b * p
+
+
+def _symmetric_rate_from_terms(mixture_terms, letter_terms, p, q):
+    """Half of H(mixture) - sum_x prior_x H(letter x) for priors (p, p, q),
+    from the x log2 x terms, floats or arrays: mixture_terms over the
+    outcomes, letter_terms over the letters (a, b, c) and then the outcomes.
+    Each entropy sums its terms over the outcomes in order."""
+    h_a, h_b, h_c = (-functools.reduce(operator.add, terms) for terms in letter_terms)
+    h_mixture = -functools.reduce(operator.add, mixture_terms)
+    return (h_mixture - _prior_weighted(h_a, h_b, h_c, p, q)) / 2.0
+
+
+def _symmetric_prior_rate(rows, p: float) -> float:
+    """One rate, in Python floats, from the rows (P_a, P_b, P_c) of each
+    outcome at prior p; one np.log2 call takes every logarithm, because
+    math.log2 rounds differently from it."""
+    q = 1.0 - 2.0 * p
+    with_mixture = [(a, b, c, _prior_weighted(a, b, c, p, q)) for a, b, c in rows]
+    *letter_terms, mixture_terms = _xlog2x(np.array(with_mixture)).T.tolist()
+    return _symmetric_rate_from_terms(mixture_terms, letter_terms, p, q)
+
+
 def _symmetric_prior_rates(probs: np.ndarray, ps: np.ndarray | float):
     """Rates [eta..., p...] from P[eta..., outcome, letter] over the letters
-    (a, b, c) with priors (p, p, 1 - 2p)."""
-    priors = np.stack([ps, ps, 1.0 - 2.0 * ps], axis=-1)  # (p, letter)
-    probs = probs.reshape(probs.shape[:-2] + (1,) * np.ndim(ps) + probs.shape[-2:])  # p axes
-    return mutual_information(probs, priors) / 2.0
+    (a, b, c) with priors (p, p, 1 - 2p).
+
+    The mixture of each outcome is (P_a p + P_c (1 - 2p)) + P_b p, the letter
+    entropies are weighted in the same order, and -x log2 x is summed over
+    the outcomes in order (see _symmetric_rate_from_terms).  The pinned
+    symmetric-family values depend on this order: any other rounds
+    differently in the last bit, which moves the Nelder-Mead paths.  One
+    (outcome, letter) table and a float p take the float path,
+    _symmetric_prior_rate.
+    """
+    if isinstance(ps, float) and probs.ndim == 2:
+        return _symmetric_prior_rate(probs.tolist(), float(ps))
+    ps = np.asarray(ps, dtype=float)
+    qs = 1.0 - 2.0 * ps
+    by_letter = np.moveaxis(probs, (-1, -2), (0, 1))  # (letter, outcome, eta...)
+    by_letter = by_letter.reshape(by_letter.shape + (1,) * ps.ndim)  # p axes
+    # a generator, so that one outcome's [eta..., p...] mixture is held at a
+    # time: the peak memory stays that of a few rate grids
+    mixture_terms = (_xlog2x(_prior_weighted(*outcome, ps, qs))
+                     for outcome in np.swapaxes(by_letter, 0, 1))
+    return _symmetric_rate_from_terms(mixture_terms, _xlog2x(by_letter), ps, qs)
 
 
 def _check_open_range(gamma: Angle) -> float:

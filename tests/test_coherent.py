@@ -1,4 +1,5 @@
 import math
+import traceback
 from collections import Counter
 
 import numpy as np
@@ -163,6 +164,29 @@ class TestTruncatedRate:
             assert calls["alpha_from_gamma"] >= 1
             assert max(calls.values()) <= 2, (optimize.__name__, calls)
 
+    def test_prior_tail_makes_no_einsum_call(self, monkeypatch):
+        # the symmetric prior tail writes its sums out; an einsum under it is
+        # the general kernel's slower path come back
+        tail = {"_rate_grid", "_symmetric_prior_rates", "_symmetric_prior_rate"}
+        calls = Counter()
+        einsum = np.einsum
+
+        def counting(*args, **kwargs):
+            callers = {frame.f_code.co_name for frame, _ in traceback.walk_stack(None)}
+            calls["tail" if callers & tail else "elsewhere"] += 1
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        g = deg(17.1)
+        ideal = optimize_r2(g)
+        assert calls["tail"] == 0
+        for optimize in (optimize_r2_truncated,
+                         lambda g: optimize_r2_truncated_reused(g, ideal=ideal)):
+            calls.clear()
+            optimize(g)
+            assert calls["tail"] == 0
+            assert calls["elsewhere"] > 0  # the clipped basis's own einsum calls
+
     def test_grid_path_agrees_with_scalar_path(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
@@ -175,12 +199,14 @@ class TestTruncatedRate:
 
     @given(
         gamma_deg=st.floats(0.0, 90.0, exclude_min=True, exclude_max=True),
-        eta=st.floats(-2 * math.pi / 240, math.pi + 2 * math.pi / 240),
+        eta=st.one_of(st.floats(-2 * math.pi / 240, math.pi + 2 * math.pi / 240),
+                      st.sampled_from(np.linspace(0.0, math.pi, 240, endpoint=False).tolist())),
         p=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
     )
     def test_float_call_equals_one_element_call(self, gamma_deg, eta, p):
         # both optimizers evaluate their points with floats; the values, and
-        # so the search paths, must be those of the one-element arrays bit for bit
+        # so the search paths, must be those of the one-element arrays bit for
+        # bit, on the grid's own etas too
         gamma_rad = math.radians(gamma_deg)
         one_cell = _trunc_rate_grid(gamma_rad)(np.array([eta]), np.array([p]))
         assert one_cell.shape == (1, 1)

@@ -6,17 +6,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from superadd.capacities import Ensemble, c1, c_infinity, measured_mutual_information
+from superadd.capacities import (Ensemble, c1, c_infinity, measured_mutual_information,
+                                 mutual_information)
+from superadd.coherent import _trunc_conditional_probs
 from superadd.errors import BracketingError
 from superadd.statespace import Angle, MeasurementBasis, two_shot_alphabet
 from superadd import twoshot
 from superadd.twoshot import (
+    ETA_POINTS,
+    P_POINTS,
     AnsatzParams,
     RotationParams,
     _general_rates,
     _letters_matrix,
     _rate_and_gradient,
     _rate_grid,
+    _symmetric_prior_rates,
     ansatz_basis,
     crossover_angle,
     optimize_general,
@@ -25,8 +30,18 @@ from superadd.twoshot import (
 )
 
 
+GRID_ETAS = np.linspace(0.0, math.pi, ETA_POINTS, endpoint=False).tolist()
+
+
 def deg(d):
     return Angle.from_degrees(d)
+
+
+def general_kernel_prior_rates(probs, ps):
+    """Rates [eta, p] of the symmetric family's priors through the general
+    mutual-information kernel, the oracle of the written-out prior tail."""
+    priors = np.stack([ps, ps, 1 - 2 * ps], -1)
+    return mutual_information(probs[..., None, :, :], priors) / 2
 
 
 def literal_expansion_rows(eta, gamma_rad):
@@ -128,16 +143,44 @@ class TestRateFunctional:
 
     @given(
         gamma_deg=st.floats(0.0, 90.0, exclude_min=True, exclude_max=True),
-        eta=st.floats(-2 * math.pi / 240, math.pi + 2 * math.pi / 240),
+        eta=st.one_of(st.floats(-2 * math.pi / 240, math.pi + 2 * math.pi / 240),
+                      st.sampled_from(GRID_ETAS)),
         p=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
     )
     def test_float_call_equals_one_element_call(self, gamma_deg, eta, p):
         # Nelder-Mead points call the grid with floats; the values, and so
-        # the search paths, must be those of the 1 x 1 grid bit for bit
+        # the search paths, must be those of the 1 x 1 grid bit for bit.  The
+        # grid's own etas include eta = 0, where some probabilities are zero.
         gamma_rad = math.radians(gamma_deg)
         one_cell = _rate_grid(gamma_rad, np.array([eta]), np.array([p]))
         assert one_cell.shape == (1, 1)
         assert _rate_grid(gamma_rad, eta, p) == one_cell[0, 0]
+
+    @pytest.mark.parametrize("gamma_deg", [0.05, 0.5, 5, 17, 18.7, 45, 80, 89.9])
+    def test_prior_tail_equals_general_kernel_on_full_grids(self, gamma_deg, monkeypatch):
+        # the written-out tail must round exactly as the general kernel does
+        gamma_rad = math.radians(gamma_deg)
+        etas = np.array(GRID_ETAS)
+        ps = np.linspace(0.0, 0.5, P_POINTS)
+        seen = []
+
+        def recording(probs, ps):
+            seen.append(probs)
+            return _symmetric_prior_rates(probs, ps)
+
+        monkeypatch.setattr(twoshot, "_symmetric_prior_rates", recording)
+        ideal = _rate_grid(gamma_rad, etas, ps)
+        (ideal_probs,) = seen
+        assert not ideal_probs.all()  # the eta = 0 row has zero probabilities
+        trunc_probs = _trunc_conditional_probs(gamma_rad)(etas)
+        for probs, rates in [(ideal_probs, ideal),
+                             (trunc_probs, _symmetric_prior_rates(trunc_probs, ps))]:
+            assert rates.shape == (ETA_POINTS, P_POINTS)
+            assert np.array_equal(rates, general_kernel_prior_rates(probs, ps))
+            # the float path, at every eta of three columns, gives the cells
+            for j in (0, 37, P_POINTS - 1):
+                floats = [_symmetric_prior_rates(table, float(ps[j])) for table in probs]
+                assert floats == rates[:, j].tolist()
 
 
 class TestAnsatzParams:
