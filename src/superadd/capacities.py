@@ -23,7 +23,7 @@ LN2 = math.log(2.0)
 def _xlog2x(p: np.ndarray) -> np.ndarray:
     """Elementwise p * log2(p) with the 0 * log 0 = 0 convention."""
     p = np.asarray(p, dtype=float)
-    return p * np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    return p * np.log2(p, out=np.zeros(p.shape), where=p > 0.0)
 
 
 def _clamp_probabilities(p: np.ndarray) -> np.ndarray:

@@ -67,29 +67,38 @@ class CoherentAlphabet:
         return cls(alpha=alpha, psi0=psi0, psi1=psi1)
 
 
-def _photon_rows(eta, alpha):
-    """Photon-coordinate rows of the symmetric family, vectorized over eta.
+def _photon_row_entries(ce, se, alpha):
+    """The seven distinct photon-coordinate amplitudes (u0, u1, u2, u3, w0,
+    w1, w3) of the symmetric family, from cos eta and sin eta as floats or
+    arrays: e1 = (u0, u1, u2, u3), e2 = (u0, u2, u1, u3) is e1 with the two
+    one-photon coordinates swapped, and e3 = (w0, w1, w1, w3).
 
     These are the exact re-expansions of the span construction in the
     truncated photon coordinates; every coefficient carries the common
-    denominator 2(1 + alpha^2).  Returns a fresh (..., vector, photon
-    coordinate) array; e2 is e1 with the two one-photon coordinates swapped.
+    denominator 2(1 + alpha^2).
     """
-    eta = np.asarray(eta, dtype=float)
-    ce, se = np.cos(eta), np.sin(eta)
     a2 = alpha * alpha
     den = 2.0 * (1.0 + a2)
+    return (
+        (SQRT2 * se + 2.0 * alpha * ce) / den,
+        (alpha * SQRT2 * se - ce + a2 * ce - 1.0 - a2) / den,
+        (alpha * SQRT2 * se - ce + a2 * ce + 1.0 + a2) / den,
+        (a2 * SQRT2 * se - 2.0 * alpha * ce) / den,
+        2.0 * (ce - alpha * SQRT2 * se) / den,
+        (SQRT2 * se * (1.0 - a2) + 2.0 * alpha * ce) / den,
+        2.0 * (alpha * SQRT2 * se + a2 * ce) / den,
+    )
+
+
+def _photon_rows(eta, alpha):
+    """Photon-coordinate rows of the symmetric family, vectorized over eta:
+    a fresh (..., vector, photon coordinate) array of _photon_row_entries."""
+    eta = np.asarray(eta, dtype=float)
+    u0, u1, u2, u3, w0, w1, w3 = _photon_row_entries(np.cos(eta), np.sin(eta), alpha)
     rows = np.empty(eta.shape + (3, 4))
-    rows[..., 0, 0] = (SQRT2 * se + 2.0 * alpha * ce) / den
-    rows[..., 0, 1] = (alpha * SQRT2 * se - ce + a2 * ce - 1.0 - a2) / den
-    rows[..., 0, 2] = (alpha * SQRT2 * se - ce + a2 * ce + 1.0 + a2) / den
-    rows[..., 0, 3] = (a2 * SQRT2 * se - 2.0 * alpha * ce) / den
-    rows[..., 1, 0::3] = rows[..., 0, 0::3]
-    rows[..., 1, 1:3] = rows[..., 0, 2:0:-1]
-    rows[..., 2, 0] = 2.0 * (ce - alpha * SQRT2 * se) / den
-    rows[..., 2, 1] = (SQRT2 * se * (1.0 - a2) + 2.0 * alpha * ce) / den
-    rows[..., 2, 2] = rows[..., 2, 1]
-    rows[..., 2, 3] = 2.0 * (alpha * SQRT2 * se + a2 * ce) / den
+    for k, row in enumerate([(u0, u1, u2, u3), (u0, u2, u1, u3), (w0, w1, w1, w3)]):
+        for d, value in enumerate(row):
+            rows[..., k, d] = value
     return rows
 
 
@@ -124,7 +133,10 @@ def truncated_orthonormal_basis(eta: float, gamma: Angle) -> MeasurementBasis:
     orthogonalization on the clipped span; the outputs have exactly zero
     two-photon amplitude.  The clipped Gram matrix is the identity minus a
     rank-one defect of norm at most 3/4, so it never approaches singularity
-    inside (0, 90) degrees.
+    inside (0, 90) degrees.  This is the reference construction, through the
+    Gram matrix's eigendecomposition; the optimizers use the rank-one closed
+    form of the same basis (_clipped_amplitudes), which agrees with it to
+    about 1e-15.
     """
     _check_open_range(gamma)
     clipped = _photon_rows(float(eta), alpha_from_gamma(gamma))
@@ -148,26 +160,54 @@ def rate_truncated(eta: float, p: float, gamma: Angle) -> float:
     return measured_mutual_information(ensemble, _scoring_basis(eta, gamma)) / 2.0
 
 
-def _trunc_conditional_probs(gamma_rad: float) -> Callable[[np.ndarray], np.ndarray]:
+def _clipped_amplitudes(ce, se, alpha, l0, l1):
+    """Amplitudes (A1a, A1b, A1c, A3a, A3c) of the clipped, orthonormalized
+    basis on the letters a = (l0, -l1, l1), b = (l0, l1, -l1) and
+    c = (l0, l1, l1) (photon coordinates below two photons), from cos eta
+    and sin eta as floats or arrays.  e2 is the a <-> b mirror of e1 and
+    A3b = A3a, so these five give every amplitude.
+
+    The full rows are orthonormal, so with M the three clipped columns and t
+    the two-photon column, M M^T = I - t t^T, whose inverse square root is
+    I + k t t^T with k = 1 / (r (1 + r)) and r = sqrt(1 - |t|^2).  The
+    orthonormalized rows are then M + k t (t^T M), which has no cancellation
+    as alpha -> 0; t = (u3, u3, w3), and t^T M = (s0, s1, s1).
+    """
+    u0, u1, u2, u3, w0, w1, w3 = _photon_row_entries(ce, se, alpha)
+    t2 = 2.0 * u3 * u3 + w3 * w3
+    r = (math.sqrt if isinstance(t2, float) else np.sqrt)(1.0 - t2)
+    k = 1.0 / (r * (1.0 + r))
+    s0 = 2.0 * u3 * u0 + w3 * w0
+    s1 = u3 * (u1 + u2) + w3 * w1
+    o0, o1, o2 = u0 + k * u3 * s0, u1 + k * u3 * s1, u2 + k * u3 * s1  # e1
+    v0, v1 = w0 + k * w3 * s0, w1 + k * w3 * s1  # e3 = (v0, v1, v1)
+    shared = o0 * l0
+    return (shared + (o2 - o1) * l1, shared + (o1 - o2) * l1, shared + (o1 + o2) * l1,
+            v0 * l0, v0 * l0 + 2.0 * v1 * l1)
+
+
+def _trunc_conditional_probs(gamma_rad: float) -> Callable:
     """etas -> P[eta..., outcome, letter] for the completed clipped basis at
-    one angle, over the axes of etas (none for a float); the eta-independent
-    letters are built once per angle."""
+    one angle, over the axes of etas; a float eta gives the (outcome, letter)
+    rows as tuples of Python floats, equal to the one-element array's.  The
+    eta-independent letters are built once per angle."""
     gamma = Angle(gamma_rad)
     alpha = alpha_from_gamma(gamma)
-    letters = np.vstack([s.coords for s in two_shot_coherent_alphabet(gamma)[:3]])
-    two_photon = letters[:, 3] ** 2  # fourth outcome, eta independent
+    l0, l1, _, l3 = two_shot_coherent_alphabet(gamma)[2].coords.tolist()  # letter c
+    two_photon = l3 * l3  # fourth outcome, the same for every letter
 
-    def conditional_probs(etas: np.ndarray) -> np.ndarray:
-        clipped = _photon_rows(etas, alpha)  # (eta, 3, 4)
-        clipped[..., 3] = 0.0
-        gram = clipped @ np.swapaxes(clipped, -1, -2)
-        eigvals, eigvecs = np.linalg.eigh(gram)
-        inv_sqrt = np.einsum("...ik,...k,...jk->...ij", eigvecs, eigvals**-0.5, eigvecs)
-        ortho = inv_sqrt @ clipped  # (eta, 3, 4)
-        amplitudes = np.einsum("...kd,xd->...kx", ortho, letters)
+    def conditional_probs(etas):
+        ce, se = np.cos(etas), np.sin(etas)
+        if isinstance(etas, float):
+            ce, se = float(ce), float(se)
+        pa1, pb1, pc1, pa3, pc3 = (amp * amp for amp in _clipped_amplitudes(ce, se, alpha, l0, l1))
+        rows = [(pa1, pb1, pc1), (pb1, pa1, pc1), (pa3, pa3, pc3), (two_photon,) * 3]
+        if isinstance(etas, float):
+            return rows
         probs = np.empty(np.shape(etas) + (4, 3))
-        probs[..., :3, :] = amplitudes**2
-        probs[..., 3, :] = two_photon
+        for k, row in enumerate(rows):
+            for x, value in enumerate(row):
+                probs[..., k, x] = value
         return probs
 
     return conditional_probs
@@ -191,7 +231,9 @@ def optimize_r2_truncated(gamma: Angle) -> RateResult:
 
 def optimize_r2_truncated_reused(gamma: Angle, ideal: RateResult | None = None) -> RateResult:
     """Clipped-basis rate at the ideal family's optimal eta, optimizing the
-    prior only.  ideal is optimize_r2(gamma), computed when omitted."""
+    prior only: a p grid, then a bounded scalar search around its best cell,
+    reporting the better of the two points.  ideal is optimize_r2(gamma),
+    computed when omitted."""
     g = _check_open_range(gamma)
     if ideal is None:
         ideal = optimize_r2(gamma)
@@ -208,10 +250,11 @@ def optimize_r2_truncated_reused(gamma: Angle, ideal: RateResult | None = None) 
         method="bounded",
         options={"xatol": 1e-12},
     )
-    best = max(-float(result.fun), float(grid[pi]))
+    refined = -float(result.fun)
+    best, p = (refined, float(result.x)) if refined >= grid[pi] else (float(grid[pi]), float(ps[pi]))
     return RateResult(
         bits_per_transmission=best,
-        params={"eta": eta, "p": float(result.x)},
+        params={"eta": eta, "p": p},
         iterations=int(grid.size + result.nfev + ideal.iterations),
         converged=bool(result.success) and ideal.converged,
         hyperparams=dict(ANSATZ_HYPERPARAMS),

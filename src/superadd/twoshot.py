@@ -19,7 +19,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -263,7 +263,7 @@ def _symmetric_prior_rate(rows, p: float) -> float:
     return _symmetric_rate_from_terms(mixture_terms, letter_terms, p, q)
 
 
-def _symmetric_prior_rates(probs: np.ndarray, ps: np.ndarray | float):
+def _symmetric_prior_rates(probs: np.ndarray | list, ps: np.ndarray | float):
     """Rates [eta..., p...] from P[eta..., outcome, letter] over the letters
     (a, b, c) with priors (p, p, 1 - 2p).
 
@@ -272,14 +272,14 @@ def _symmetric_prior_rates(probs: np.ndarray, ps: np.ndarray | float):
     the outcomes in order (see _symmetric_rate_from_terms).  The pinned
     symmetric-family values depend on this order: any other rounds
     differently in the last bit, which moves the Nelder-Mead paths.  One
-    (outcome, letter) table and a float p take the float path,
-    _symmetric_prior_rate.
+    (outcome, letter) table, as an array or as a list of rows, and a float p
+    take the float path, _symmetric_prior_rate.
     """
-    if isinstance(ps, float) and probs.ndim == 2:
-        return _symmetric_prior_rate(probs.tolist(), float(ps))
+    if isinstance(ps, float) and (isinstance(probs, list) or probs.ndim == 2):
+        return _symmetric_prior_rate(probs if isinstance(probs, list) else probs.tolist(), float(ps))
     ps = np.asarray(ps, dtype=float)
     qs = 1.0 - 2.0 * ps
-    by_letter = np.moveaxis(probs, (-1, -2), (0, 1))  # (letter, outcome, eta...)
+    by_letter = np.moveaxis(np.asarray(probs), (-1, -2), (0, 1))  # (letter, outcome, eta...)
     by_letter = by_letter.reshape(by_letter.shape + (1,) * ps.ndim)  # p axes
     # a generator, so that one outcome's [eta..., p...] mixture is held at a
     # time: the peak memory stays that of a few rate grids
@@ -295,6 +295,89 @@ def _check_open_range(gamma: Angle) -> float:
 
 
 _RateGrid = Callable[[np.ndarray, np.ndarray], np.ndarray]  # (etas, ps) -> rates, as _rate_grid
+
+
+class _SimplexResult(NamedTuple):
+    """The fields of scipy's OptimizeResult that _grid_then_refine reads."""
+
+    x: tuple[float, float]
+    fun: float
+    nfev: int
+    nit: int
+    success: bool
+
+
+_FIRST = operator.itemgetter(0)
+
+
+def _nelder_mead_2d(fun: Callable[[float, float], float], start: tuple[float, float],
+                    bounds: tuple[tuple[float, float], tuple[float, float]]) -> _SimplexResult:
+    """Minimize fun(x, y) over the box bounds = ((lo_x, hi_x), (lo_y, hi_y))
+    by Nelder-Mead from start, in Python floats.
+
+    A port of scipy's bounded Nelder-Mead (scipy.optimize.minimize with
+    method="Nelder-Mead", bounds and the options xatol=NM_XATOL,
+    fatol=NM_FATOL and maxiter=NM_MAXITER, as of scipy 1.17) that rounds
+    every step as scipy does, so that its points, and so x, fun, nfev, nit
+    and success, are scipy's bit for bit:
+    - the coefficients are rho = 1, chi = 2, psi = 0.5 and sigma = 0.5;
+    - the initial simplex scales each coordinate of start by 1.05 in turn (0
+      becomes 0.00025), reflects any coordinate above its upper bound back
+      below it, and clips;
+    - every point is clipped as np.clip does, maximum with the lower bound
+      and then minimum with the upper one;
+    - the vertices are reordered by a stable sort, as np.argsort orders
+      three values.
+    """
+    (lo_x, hi_x), (lo_y, hi_y) = bounds
+    xatol, fatol, maxiter = NM_XATOL, NM_FATOL, NM_MAXITER
+    nfev = 0
+
+    def clipped(x: float, y: float) -> tuple[float, float]:
+        x = x if x > lo_x else lo_x
+        y = y if y > lo_y else lo_y
+        return (x if x < hi_x else hi_x), (y if y < hi_y else hi_y)
+
+    def vertex(x: float, y: float) -> tuple[float, float, float]:
+        nonlocal nfev
+        nfev += 1
+        x, y = clipped(x, y)
+        return fun(x, y), x, y
+
+    x, y = clipped(*start)
+    starts = [(x, y), ((1 + 0.05) * x if x != 0 else 0.00025, y),
+              (x, (1 + 0.05) * y if y != 0 else 0.00025)]
+    simplex = sorted((vertex(2 * hi_x - sx if sx > hi_x else sx, 2 * hi_y - sy if sy > hi_y else sy)
+                      for sx, sy in starts), key=_FIRST)
+    nit = 1
+    while nit < maxiter:
+        (f0, x0, y0), (f1, x1, y1), (f2, x2, y2) = simplex
+        if (max(abs(x1 - x0), abs(y1 - y0), abs(x2 - x0), abs(y2 - y0)) <= xatol
+                and max(abs(f0 - f1), abs(f0 - f2)) <= fatol):
+            break
+        x_bar, y_bar = (x0 + x1) / 2, (y0 + y1) / 2
+        reflected = vertex(2 * x_bar - x2, 2 * y_bar - y2)
+        if reflected[0] < f0:
+            expanded = vertex(3 * x_bar - 2 * x2, 3 * y_bar - 2 * y2)
+            simplex[2] = expanded if expanded[0] < reflected[0] else reflected
+        elif reflected[0] < f1:
+            simplex[2] = reflected
+        else:
+            if reflected[0] < f2:
+                contracted = vertex(1.5 * x_bar - 0.5 * x2, 1.5 * y_bar - 0.5 * y2)
+                accept = contracted[0] <= reflected[0]
+            else:
+                contracted = vertex(0.5 * x_bar + 0.5 * x2, 0.5 * y_bar + 0.5 * y2)
+                accept = contracted[0] < f2
+            if accept:
+                simplex[2] = contracted
+            else:  # shrink towards the best vertex
+                simplex[1:] = [vertex(x0 + 0.5 * (xj - x0), y0 + 0.5 * (yj - y0))
+                               for _, xj, yj in simplex[1:]]
+        nit += 1
+        simplex.sort(key=_FIRST)
+    f0, x, y = simplex[0]
+    return _SimplexResult(x=(x, y), fun=f0, nfev=nfev, nit=nit, success=nit < maxiter)
 
 
 def _grid_then_refine(rate_grid_at: Callable[[float], _RateGrid], gamma: Angle) -> RateResult:
@@ -313,27 +396,19 @@ def _grid_then_refine(rate_grid_at: Callable[[float], _RateGrid], gamma: Angle) 
     gi, pi = np.unravel_index(int(np.argmax(grid)), grid.shape)
     d_eta = math.pi / ETA_POINTS
     d_p = 0.5 / (P_POINTS - 1)
-    bounds = [
-        (etas[gi] - 2.0 * d_eta, etas[gi] + 2.0 * d_eta),
-        (max(0.0, ps[pi] - 2.0 * d_p), min(0.5, ps[pi] + 2.0 * d_p)),
-    ]
-
-    def negative_rate(x: np.ndarray) -> float:
-        return -rate_grid(float(x[0]), float(x[1]))
-
-    result = minimize(
-        negative_rate,
-        np.array([etas[gi], ps[pi]]),
-        method="Nelder-Mead",
-        bounds=bounds,
-        options={"xatol": NM_XATOL, "fatol": NM_FATOL, "maxiter": NM_MAXITER},
+    bounds = (
+        (float(etas[gi] - 2.0 * d_eta), float(etas[gi] + 2.0 * d_eta)),
+        (float(max(0.0, ps[pi] - 2.0 * d_p)), float(min(0.5, ps[pi] + 2.0 * d_p))),
     )
-    best = max(-float(result.fun), float(grid[gi, pi]))
+
+    result = _nelder_mead_2d(lambda eta, p: -rate_grid(eta, p),
+                             (float(etas[gi]), float(ps[pi])), bounds)
+    best = max(-result.fun, float(grid[gi, pi]))
     return RateResult(
         bits_per_transmission=best,
-        params={"eta": float(result.x[0]) % math.pi, "p": float(result.x[1])},
-        iterations=int(grid.size + result.nfev),
-        converged=bool(result.success),
+        params={"eta": result.x[0] % math.pi, "p": result.x[1]},
+        iterations=grid.size + result.nfev,
+        converged=result.success,
         hyperparams=dict(ANSATZ_HYPERPARAMS),
     )
 

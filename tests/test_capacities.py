@@ -11,6 +11,7 @@ from scipy.optimize import minimize
 from superadd.capacities import (
     Ensemble,
     RateResult,
+    _xlog2x,
     binary_entropy,
     c1,
     c_infinity,
@@ -117,6 +118,25 @@ def rotated_basis(phi):
     return MeasurementBasis.from_rows(
         [[math.cos(phi), math.sin(phi)], [-math.sin(phi), math.cos(phi)]]
     )
+
+
+class TestXLog2X:
+    def test_same_bits_on_every_layout(self):
+        # the log buffer is a fresh C-ordered array whatever the input's
+        # layout; the values must be those of a buffer laid out like the input
+        rng = np.random.default_rng(5)
+        base = rng.random((64, 48)) ** 3
+        base[::7, ::5] = 0.0
+        inputs = [base, base[::3, 1::2], base.T, np.asfortranarray(base), base[:, 9],
+                  np.array(0.3), np.array(0.0), 0.3]
+        for p in inputs:
+            p_array = np.asarray(p, dtype=float)
+            expected = p_array * np.log2(p_array, out=np.zeros_like(p_array), where=p_array > 0.0)
+            got = _xlog2x(p)
+            assert got.shape == p_array.shape
+            assert np.array_equal(got, expected)
+            assert np.array_equal(got, _xlog2x(p_array.copy(order="C")))
+        assert _xlog2x(0.5) == -0.5
 
 
 class TestMeasuredMutualInformation:

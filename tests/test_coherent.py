@@ -11,6 +11,7 @@ from superadd import coherent
 from superadd.capacities import c1
 from superadd.coherent import (
     CoherentAlphabet,
+    _clipped_amplitudes,
     _photon_rows,
     _trunc_conditional_probs,
     _trunc_rate_grid,
@@ -23,7 +24,8 @@ from superadd.coherent import (
     two_shot_coherent_alphabet,
 )
 from superadd.statespace import Angle
-from superadd.twoshot import _symmetric_prior_rates, ansatz_basis, ansatz_rows, optimize_r2
+from superadd.twoshot import (_rate_grid, _symmetric_prior_rates, ansatz_basis, ansatz_rows,
+                              optimize_r2)
 
 
 def deg(d):
@@ -112,6 +114,23 @@ class TestTruncatedBasis:
             rows = truncated_orthonormal_basis(rng.uniform(0, math.pi), gamma).matrix
             assert np.abs(rows @ rows.T - np.eye(3)).max() < 1e-10
 
+    @given(
+        gamma_deg=st.one_of(st.floats(1e-9, 90.0, exclude_max=True), st.floats(1e-9, 1e-2)),
+        eta=st.floats(-2 * math.pi, 3 * math.pi),
+        p=st.floats(0.0, 0.5),
+    )
+    def test_closed_form_equals_lowdin_basis(self, gamma_deg, eta, p):
+        # the rank-one closed form of the optimizers against the
+        # eigendecomposition of truncated_orthonormal_basis, down to angles
+        # where the two-photon column t vanishes
+        gamma = deg(gamma_deg)
+        letters = np.vstack([s.coords for s in two_shot_coherent_alphabet(gamma)[:3]])
+        rows = np.vstack([truncated_orthonormal_basis(eta, gamma).matrix, coherent.TWO_PHOTON])
+        probs = np.array(_trunc_conditional_probs(gamma.radians)(eta))
+        assert np.abs(probs - (rows @ letters.T) ** 2).max() <= 1e-14
+        assert (_trunc_rate_grid(gamma.radians)(eta, p)
+                == pytest.approx(rate_truncated(eta, p, gamma), rel=0, abs=1e-14))
+
     def test_distortion_scales_with_alpha(self):
         def gap(d):
             gamma = deg(d)
@@ -165,8 +184,9 @@ class TestTruncatedRate:
             assert max(calls.values()) <= 2, (optimize.__name__, calls)
 
     def test_prior_tail_makes_no_einsum_call(self, monkeypatch):
-        # the symmetric prior tail writes its sums out; an einsum under it is
-        # the general kernel's slower path come back
+        # the symmetric prior tail writes its sums out, and the clipped basis
+        # is in closed form; an einsum under either is the general kernel's or
+        # the eigendecomposition's slower path come back
         tail = {"_rate_grid", "_symmetric_prior_rates", "_symmetric_prior_rate"}
         calls = Counter()
         einsum = np.einsum
@@ -178,14 +198,16 @@ class TestTruncatedRate:
 
         monkeypatch.setattr(np, "einsum", counting)
         g = deg(17.1)
+        rate_truncated(0.7, 0.3, g)
+        assert calls["elsewhere"] > 0  # the hook sees the general kernel's calls
+        calls.clear()
         ideal = optimize_r2(g)
         assert calls["tail"] == 0
         for optimize in (optimize_r2_truncated,
                          lambda g: optimize_r2_truncated_reused(g, ideal=ideal)):
             calls.clear()
             optimize(g)
-            assert calls["tail"] == 0
-            assert calls["elsewhere"] > 0  # the clipped basis's own einsum calls
+            assert sum(calls.values()) == 0, calls
 
     def test_grid_path_agrees_with_scalar_path(self):
         rng = np.random.default_rng(14)
@@ -212,7 +234,14 @@ class TestTruncatedRate:
         assert one_cell.shape == (1, 1)
         assert _trunc_rate_grid(gamma_rad)(eta, p) == one_cell[0, 0]
         probs = _trunc_conditional_probs(gamma_rad)(np.array([eta]))
-        assert np.array_equal(_trunc_conditional_probs(gamma_rad)(eta), probs[0])
+        rows = _trunc_conditional_probs(gamma_rad)(eta)
+        assert all(type(value) is float for row in rows for value in row)
+        assert np.array_equal(rows, probs[0])
+        alpha = alpha_from_gamma(Angle(gamma_rad))
+        ce, se = np.cos(np.array([eta])), np.sin(np.array([eta]))
+        amplitudes = _clipped_amplitudes(float(ce[0]), float(se[0]), alpha, 0.9, 0.1)
+        assert all(type(value) is float for value in amplitudes)
+        assert amplitudes == tuple(a[0] for a in _clipped_amplitudes(ce, se, alpha, 0.9, 0.1))
         assert (_symmetric_prior_rates(probs[0], p)
                 == _symmetric_prior_rates(probs, np.array([p]))[0, 0])
         ps = np.linspace(0.0, 0.5, 101)
@@ -233,6 +262,18 @@ class TestTruncatedRate:
             ideal = optimize_r2(gamma).bits_per_transmission
             assert clipped <= ideal + 1e-12
             assert ideal <= c_infinity(gamma) + 1e-9
+
+
+@pytest.mark.parametrize("gamma_deg", [1e-3, 0.01, 0.05, 0.2, 0.5, 1.0, 2.5, 5.0, 8.0, 12.0, 15.0,
+                                       17.1, 18.7, 22.0, 30.0, 40.0, 50.0, 65.0, 80.0, 89.9])
+def test_params_reproduce_value(gamma_deg):
+    # each optimizer's value is its rate at the params it reports, exactly
+    g = deg(gamma_deg)
+    ideal = optimize_r2(g)
+    assert _rate_grid(g.radians, ideal.params["eta"], ideal.params["p"]) == ideal.bits_per_transmission
+    trunc_rate = _trunc_rate_grid(g.radians)
+    for result in (optimize_r2_truncated(g), optimize_r2_truncated_reused(g, ideal=ideal)):
+        assert trunc_rate(result.params["eta"], result.params["p"]) == result.bits_per_transmission
 
 
 # Optimizer values at fixed angles, so that a refactor of the grid searches

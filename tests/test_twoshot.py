@@ -1,24 +1,30 @@
 import functools
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from superadd.capacities import (Ensemble, c1, c_infinity, measured_mutual_information,
                                  mutual_information)
-from superadd.coherent import _trunc_conditional_probs
+from superadd.coherent import _trunc_conditional_probs, optimize_r2_truncated
 from superadd.errors import BracketingError
 from superadd.statespace import Angle, MeasurementBasis, two_shot_alphabet
 from superadd import twoshot
 from superadd.twoshot import (
     ETA_POINTS,
+    NM_FATOL,
+    NM_MAXITER,
+    NM_XATOL,
     P_POINTS,
     AnsatzParams,
     RotationParams,
     _general_rates,
     _letters_matrix,
+    _nelder_mead_2d,
     _rate_and_gradient,
     _rate_grid,
     _symmetric_prior_rates,
@@ -206,6 +212,68 @@ class TestOptimizeR2:
     def test_domain(self):
         with pytest.raises(ValueError):
             optimize_r2(deg(90))
+
+
+def scipy_nelder_mead(fun, start, bounds, xatol=NM_XATOL, fatol=NM_FATOL, maxiter=NM_MAXITER):
+    """scipy's bounded Nelder-Mead on fun(x, y), the reference of the float
+    port, as (x, fun, nfev, nit, success)."""
+    result = minimize(lambda x: fun(float(x[0]), float(x[1])), np.array(start),
+                      method="Nelder-Mead", bounds=bounds,
+                      options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})
+    return tuple(result.x.tolist()), float(result.fun), result.nfev, result.nit, bool(result.success)
+
+
+class TestNelderMead2D:
+    # the reprs of Python floats round-trip and tell -0.0 from 0.0, so equal
+    # reprs are equal bits
+
+    def test_equals_scipy_on_both_families(self, monkeypatch):
+        # the p bound 0.5 clips vertices at 0.01 and 1e-3 deg, where the
+        # objective also takes equal values at distinct points
+        runs = []
+
+        def checked(fun, start, bounds):
+            points = defaultdict(set)
+
+            def recording(x, y):
+                value = fun(x, y)
+                points[value].add((x, y))
+                return value
+
+            ours = _nelder_mead_2d(recording, start, bounds)
+            runs.append((repr(tuple(ours)), repr(scipy_nelder_mead(fun, start, bounds)),
+                         any(len(at) > 1 for at in points.values())))
+            return ours
+
+        monkeypatch.setattr(twoshot, "_nelder_mead_2d", checked)
+        angles = [1e-3, 0.01, 0.05, 0.2, 1.0, 5.0, 12.0, 17.1, 18.7, 30.0, 45.0, 60.0, 80.0, 89.9]
+        for gamma_deg in angles:
+            optimize_r2(deg(gamma_deg))
+            optimize_r2_truncated(deg(gamma_deg))
+        assert len(runs) == 2 * len(angles)
+        for ours, reference, _ in runs:
+            assert ours == reference
+        assert all(tied for _, _, tied in runs[:4])
+
+    @pytest.mark.parametrize("start, bounds, maxiter", [
+        ((0.3, 0.2), ((0.0, 1.0), (0.0, 1.0)), NM_MAXITER),
+        ((0.0, 0.5), ((-0.5, 0.5), (0.25, 0.5)), NM_MAXITER),  # zero start, upper bound
+        ((0.9, 0.7), ((0.5, 1.0), (0.6, 0.72)), 25),  # stopped by maxiter
+    ])
+    def test_equals_scipy_with_exact_ties(self, start, bounds, maxiter, monkeypatch):
+        # piecewise-constant objectives: whole cells share one value, so the
+        # vertex order rests on the stable sort
+        monkeypatch.setattr(twoshot, "NM_MAXITER", maxiter)
+        objectives = [
+            lambda x, y: float(math.floor(8 * x) + math.floor(8 * y)),
+            lambda x, y: math.floor(16 * x) / 16 + (y - 0.3) ** 2,
+            lambda x, y: 0.0,
+            lambda x, y: (x - 0.3) ** 2 + 10 * (y - x * x) ** 2,  # smooth, no ties
+        ]
+        for fun in objectives:
+            ours = _nelder_mead_2d(fun, start, bounds)
+            assert repr(tuple(ours)) == repr(scipy_nelder_mead(fun, start, bounds, maxiter=maxiter))
+            assert ours.success == (ours.nit < maxiter)
 
 
 class TestRotationParams:
