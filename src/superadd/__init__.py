@@ -40,8 +40,6 @@ from .statespace import (
 )
 from .sweeps import SweepTable
 from .twoshot import (
-    AnsatzParams,
-    RotationParams,
     ansatz_basis,
     crossover_angle,
     optimize_general,
@@ -51,7 +49,6 @@ from .twoshot import (
 
 __all__ = [
     "Angle",
-    "AnsatzParams",
     "BracketingError",
     "CoherentAlphabet",
     "CompletenessError",
@@ -60,7 +57,6 @@ __all__ = [
     "JointCounts",
     "MeasurementBasis",
     "RateResult",
-    "RotationParams",
     "SimConfig",
     "StateVector",
     "SweepTable",

@@ -1,8 +1,6 @@
 """Closed-form channel capacities and the measured mutual-information functional.
 
-All logarithms are base 2: rates and entropies are in bits.  Outcome
-probabilities that dip below zero by float error (down to -1e-12) are clamped
-to zero before entropy evaluation; anything lower is treated as a bug.
+All logarithms are base 2: rates and entropies are in bits.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import numpy as np
 from .errors import CompletenessError
 from .statespace import Angle, MeasurementBasis, StateVector
 
-PROB_CLAMP_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
 LN2 = math.log(2.0)
 
@@ -24,19 +21,6 @@ def _xlog2x(p: np.ndarray) -> np.ndarray:
     """Elementwise p * log2(p) with the 0 * log 0 = 0 convention."""
     p = np.asarray(p, dtype=float)
     return p * np.log2(p, out=np.zeros(p.shape), where=p > 0.0)
-
-
-def _clamp_probabilities(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    low = float(p.min())
-    if low < -PROB_CLAMP_TOL:
-        raise ValueError(f"probability {low} below -{PROB_CLAMP_TOL}; upstream numerics are broken")
-    return np.where(p < 0.0, 0.0, p)
-
-
-def entropy_bits(p) -> float:
-    """Shannon entropy of a probability vector, in bits."""
-    return float(-_xlog2x(_clamp_probabilities(p)).sum()) + 0.0
 
 
 def binary_entropy(x: float) -> float:
@@ -97,7 +81,7 @@ class Ensemble:
         if not items:
             raise ValueError("ensemble needs at least one state")
         priors = np.array([p for p, _ in items])
-        if priors.min() < 0.0:
+        if not priors.min() >= 0.0:  # also rejects NaN
             raise ValueError(f"priors must be nonnegative, got {priors.min()}")
         if abs(priors.sum() - 1.0) > 1e-12:
             raise ValueError(f"priors sum to {priors.sum()}, not 1")

@@ -20,7 +20,7 @@ from . import __version__
 from . import coherent, mcsim, twoshot
 from .capacities import RateResult, c1, c_infinity
 from .errors import BracketingError, CompletenessError, ConditioningError
-from .statespace import Angle
+from .statespace import Angle, two_shot_alphabet
 from .sweeps import SweepTable
 
 EXIT_OK = 0
@@ -190,7 +190,7 @@ def cmd_mc(gamma_deg: float, samples: int, seed: int) -> int:
     gamma = _angle(gamma_deg, open_interval=True)
     result = twoshot.optimize_r2(gamma)
     eta, p = result.params["eta"], result.params["p"]
-    ensemble = twoshot._ansatz_ensemble(p, gamma)
+    ensemble = twoshot._ansatz_ensemble(p, two_shot_alphabet(gamma))
     basis = twoshot.ansatz_basis(eta, gamma)
     config = mcsim.SimConfig(samples=samples, seed=seed, ensemble=ensemble, basis=basis)
     counts = mcsim.simulate(config)

@@ -24,10 +24,11 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .capacities import Ensemble, RateResult, measured_mutual_information
+from .capacities import RateResult, measured_mutual_information
 from .statespace import Angle, MeasurementBasis, StateVector, lowdin_orthogonalize, tensor
-from .twoshot import (ANSATZ_HYPERPARAMS, P_POINTS, SQRT2, _check_open_range, _grid_then_refine,
-                      _RateGrid, _symmetric_prior_rates, optimize_r2)
+from .twoshot import (ANSATZ_HYPERPARAMS, P_POINTS, SQRT2, _ansatz_ensemble, _check_open_range,
+                      _grid_then_refine, _symmetric_conditional_probs, _symmetric_prior_rates,
+                      optimize_r2)
 
 TWO_PHOTON = np.array([0.0, 0.0, 0.0, 1.0])
 
@@ -90,16 +91,11 @@ def _photon_row_entries(ce, se, alpha):
     )
 
 
-def _photon_rows(eta, alpha):
-    """Photon-coordinate rows of the symmetric family, vectorized over eta:
-    a fresh (..., vector, photon coordinate) array of _photon_row_entries."""
-    eta = np.asarray(eta, dtype=float)
+def _photon_rows(eta: float, alpha: float) -> np.ndarray:
+    """Photon-coordinate rows e1, e2, e3 of the symmetric family: a fresh
+    (vector, photon coordinate) array of _photon_row_entries."""
     u0, u1, u2, u3, w0, w1, w3 = _photon_row_entries(np.cos(eta), np.sin(eta), alpha)
-    rows = np.empty(eta.shape + (3, 4))
-    for k, row in enumerate([(u0, u1, u2, u3), (u0, u2, u1, u3), (w0, w1, w1, w3)]):
-        for d, value in enumerate(row):
-            rows[..., k, d] = value
-    return rows
+    return np.array([(u0, u1, u2, u3), (u0, u2, u1, u3), (w0, w1, w1, w3)])
 
 
 def photon_basis(eta: float, gamma: Angle) -> np.ndarray:
@@ -110,7 +106,7 @@ def photon_basis(eta: float, gamma: Angle) -> np.ndarray:
     order one; the expansion is orthonormal for every (eta, gamma).
     """
     _check_open_range(gamma)
-    return _photon_rows(float(eta), alpha_from_gamma(gamma))
+    return _photon_rows(eta, alpha_from_gamma(gamma))
 
 
 def two_shot_coherent_alphabet(gamma: Angle) -> tuple[StateVector, StateVector, StateVector, StateVector]:
@@ -139,7 +135,7 @@ def truncated_orthonormal_basis(eta: float, gamma: Angle) -> MeasurementBasis:
     about 1e-15.
     """
     _check_open_range(gamma)
-    clipped = _photon_rows(float(eta), alpha_from_gamma(gamma))
+    clipped = _photon_rows(eta, alpha_from_gamma(gamma))
     clipped[:, 3] = 0.0
     return lowdin_orthogonalize(clipped)
 
@@ -153,10 +149,7 @@ def _scoring_basis(eta: float, gamma: Angle) -> MeasurementBasis:
 
 def rate_truncated(eta: float, p: float, gamma: Angle) -> float:
     """Bits per transmission of the clipped basis against the coherent letters."""
-    if not 0.0 <= p <= 0.5:
-        raise ValueError(f"prior p must lie in [0, 0.5], got {p!r}")
-    a, b, c, _ = two_shot_coherent_alphabet(gamma)
-    ensemble = Ensemble(((p, a), (p, b), (1.0 - 2.0 * p, c)))
+    ensemble = _ansatz_ensemble(p, two_shot_coherent_alphabet(gamma))
     return measured_mutual_information(ensemble, _scoring_basis(eta, gamma)) / 2.0
 
 
@@ -187,36 +180,15 @@ def _clipped_amplitudes(ce, se, alpha, l0, l1):
 
 
 def _trunc_conditional_probs(gamma_rad: float) -> Callable:
-    """etas -> P[eta..., outcome, letter] for the completed clipped basis at
-    one angle, over the axes of etas; a float eta gives the (outcome, letter)
-    rows as tuples of Python floats, equal to the one-element array's.  The
-    eta-independent letters are built once per angle."""
+    """etas -> P[eta..., outcome, letter] of the completed clipped basis at one
+    angle (see twoshot._symmetric_conditional_probs); the eta-independent
+    letters are built once per angle."""
     gamma = Angle(gamma_rad)
     alpha = alpha_from_gamma(gamma)
     l0, l1, _, l3 = two_shot_coherent_alphabet(gamma)[2].coords.tolist()  # letter c
     two_photon = l3 * l3  # fourth outcome, the same for every letter
-
-    def conditional_probs(etas):
-        ce, se = np.cos(etas), np.sin(etas)
-        if isinstance(etas, float):
-            ce, se = float(ce), float(se)
-        pa1, pb1, pc1, pa3, pc3 = (amp * amp for amp in _clipped_amplitudes(ce, se, alpha, l0, l1))
-        rows = [(pa1, pb1, pc1), (pb1, pa1, pc1), (pa3, pa3, pc3), (two_photon,) * 3]
-        if isinstance(etas, float):
-            return rows
-        probs = np.empty(np.shape(etas) + (4, 3))
-        for k, row in enumerate(rows):
-            for x, value in enumerate(row):
-                probs[..., k, x] = value
-        return probs
-
-    return conditional_probs
-
-
-def _trunc_rate_grid(gamma_rad: float) -> _RateGrid:
-    """(etas, ps) -> rate[eta, p] of the clipped basis at one angle."""
-    conditional_probs = _trunc_conditional_probs(gamma_rad)
-    return lambda etas, ps: _symmetric_prior_rates(conditional_probs(etas), ps)
+    return _symmetric_conditional_probs(lambda ce, se: _clipped_amplitudes(ce, se, alpha, l0, l1),
+                                        fixed_rows=[(two_photon,) * 3])
 
 
 def optimize_r2_truncated(gamma: Angle) -> RateResult:
@@ -226,7 +198,7 @@ def optimize_r2_truncated(gamma: Angle) -> RateResult:
     after clipping can only raise the curve relative to reusing the ideal
     angle; the reused variant is available separately for comparison.
     """
-    return _grid_then_refine(_trunc_rate_grid, gamma)
+    return _grid_then_refine(_trunc_conditional_probs, gamma)
 
 
 def optimize_r2_truncated_reused(gamma: Angle, ideal: RateResult | None = None) -> RateResult:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,7 +26,7 @@ from scipy.optimize import minimize
 from .capacities import LN2, Ensemble, RateResult, _xlog2x, c1
 from .capacities import measured_mutual_information, mutual_information
 from .errors import BracketingError
-from .statespace import Angle, MeasurementBasis, two_shot_alphabet
+from .statespace import Angle, MeasurementBasis, StateVector, two_shot_alphabet
 
 SQRT2 = math.sqrt(2.0)
 
@@ -45,53 +44,35 @@ ANSATZ_HYPERPARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class AnsatzParams:
-    """Symmetric-family parameters: measurement angle eta (radians, periodic)
-    and the shared prior p on each mixed letter; the repeated letter c gets
-    1 - 2p and d gets zero."""
-
-    eta: float
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 0.5:
-            raise ValueError(f"prior p must lie in [0, 0.5], got {self.p!r}")
-
-
-def _givens_pairs(dim: int) -> tuple[tuple[int, int], ...]:
-    """Adjacent-row plane sequence able to reach every rotation of SO(dim)."""
-    return tuple(
-        (row - 1, row)
-        for col in range(dim - 1)
-        for row in range(dim - 1, col, -1)
-    )
+def _givens_pairs() -> tuple[tuple[int, int], ...]:
+    """Adjacent-row plane sequence able to reach every rotation of SO(4)."""
+    return tuple((row - 1, row) for col in range(3) for row in range(3, col, -1))
 
 
 @functools.cache
-def _givens_layout(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _givens_layout() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Factor index and plane rows of each Givens factor, and the identity
     stack, padded to a power of two, that _givens_product fills."""
-    pairs = _givens_pairs(dim)
-    rows, cols = np.array(pairs, dtype=int).reshape(len(pairs), 2).T
-    size = 1 << max(len(pairs) - 1, 0).bit_length()
-    layout = (np.arange(len(pairs)), rows, cols, np.eye(dim)[None].repeat(size, axis=0))
+    pairs = _givens_pairs()
+    rows, cols = np.array(pairs, dtype=int).T
+    size = 1 << (len(pairs) - 1).bit_length()
+    layout = (np.arange(len(pairs)), rows, cols, np.eye(4)[None].repeat(size, axis=0))
     for part in layout:
         part.flags.writeable = False  # shared by every caller
     return layout
 
 
-def _givens_product(angles: np.ndarray, dim: int = 4) -> np.ndarray:
-    """Rotation matrices G_0 G_1 ... G_{n-1} over the leading axes of
-    angles[..., n], where G_k turns the plane _givens_pairs(dim)[k] = (i, j)
+def _givens_product(angles: np.ndarray) -> np.ndarray:
+    """Rotation matrices G_0 G_1 ... G_5 over the leading axes of
+    angles[..., 6], where G_k turns the plane _givens_pairs()[k] = (i, j)
     by angles[..., k] (row i -> c row_i - s row_j, row j -> s row_i + c row_j);
-    the result has shape angles.shape[:-1] + (dim, dim).
+    the result has shape angles.shape[:-1] + (4, 4).
 
     The factors, padded with identities to a power of two, are multiplied
-    pairwise, so the product takes log2(n) batched matmul calls.
+    pairwise, so the product takes three batched matmul calls.
     """
     angles = np.asarray(angles, dtype=float)
-    index, rows, cols, identities = _givens_layout(dim)
+    index, rows, cols, identities = _givens_layout()
     factors = np.broadcast_to(identities, angles.shape[:-1] + identities.shape).copy()
     c, s = np.cos(angles), np.sin(angles)
     factors[..., index, rows, rows] = c
@@ -103,47 +84,30 @@ def _givens_product(angles: np.ndarray, dim: int = 4) -> np.ndarray:
     return factors[..., 0, :, :]
 
 
-@dataclass(frozen=True)
-class RotationParams:
-    """dim(dim-1)/2 plane-rotation angles composing an orthogonal matrix.
+def _rotation_angles(matrix: np.ndarray) -> list[float]:
+    """The angles t with _givens_product(t) = matrix, for a 4 x 4 rotation.
 
-    The matrix is the product of rotations in the fixed adjacent-row plane
-    sequence of _givens_pairs, applied in reverse list order.  Any special
-    orthogonal matrix factors uniquely this way (up to angle wrapping), which
-    from_matrix exploits.
+    Each plane (i, j) of _givens_pairs() in turn rotates rows i and j of the
+    working copy to zero its entry (j, col) below the diagonal, and the
+    plane (col, col + 1) is the last one of column col, so the copy ends as
+    the identity.  A rotation factors uniquely this way, up to angle
+    wrapping.
     """
-
-    angles: tuple[float, ...]
-    dim: int = 4
-
-    def __post_init__(self):
-        angles = tuple(float(a) for a in self.angles)
-        object.__setattr__(self, "angles", angles)
-        expected = self.dim * (self.dim - 1) // 2
-        if len(angles) != expected:
-            raise ValueError(f"need {expected} angles for dimension {self.dim}, got {len(angles)}")
-
-    def matrix(self) -> np.ndarray:
-        return _givens_product(np.array(self.angles), self.dim)
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "RotationParams":
-        m = np.asarray(matrix, dtype=float)
-        dim = m.shape[0]
-        if np.linalg.det(m) < 0:
-            raise ValueError("only rotations (det +1) factor into plane rotations")
-        work = m.copy()
-        angles = []
-        for col in range(dim - 1):
-            for row in range(dim - 1, col, -1):
-                # rotate rows (row-1, row) to zero work[row, col]
-                t = math.atan2(work[row, col], work[row - 1, col])
-                c, s = math.cos(t), math.sin(t)
-                upper, lower = work[row - 1].copy(), work[row]
-                work[row - 1] = c * upper + s * lower
-                work[row] = -s * upper + c * lower
-                angles.append(t)
-        return cls(angles=tuple(angles), dim=dim)
+    work = np.array(matrix, dtype=float)
+    if np.linalg.det(work) < 0:
+        raise ValueError("only rotations (det +1) factor into plane rotations")
+    angles = []
+    col = 0
+    for i, j in _givens_pairs():
+        t = math.atan2(work[j, col], work[i, col])
+        c, s = math.cos(t), math.sin(t)
+        upper, lower = work[i].copy(), work[j]
+        work[i] = c * upper + s * lower
+        work[j] = -s * upper + c * lower
+        angles.append(t)
+        if i == col:  # the last plane of column col
+            col += 1
+    return angles
 
 
 def _symmetric_frame(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -185,8 +149,11 @@ def ansatz_basis(eta: float, gamma: Angle) -> MeasurementBasis:
     return MeasurementBasis.from_rows(ansatz_rows(eta, a.coords, b.coords, c.coords))
 
 
-def _ansatz_ensemble(p: float, gamma: Angle) -> Ensemble:
-    a, b, c, _ = two_shot_alphabet(gamma)
+def _ansatz_ensemble(p: float, letters: tuple[StateVector, ...]) -> Ensemble:
+    """The ensemble {(p, a), (p, b), (1-2p, c)} over the two-shot letters
+    (a, b, c, d); Ensemble rejects the negative prior of a p outside
+    [0, 0.5]."""
+    a, b, c, _ = letters
     return Ensemble(((p, a), (p, b), (1.0 - 2.0 * p, c)))
 
 
@@ -197,45 +164,55 @@ def rate(eta: float, p: float, gamma: Angle) -> float:
     {(p, a), (p, b), (1-2p, c)} against the three-outcome basis: the half
     accounts for the two transmissions consumed per measurement.
     """
-    params = AnsatzParams(eta=eta, p=p)
-    ensemble = _ansatz_ensemble(params.p, gamma)
-    basis = ansatz_basis(params.eta, gamma)
-    return measured_mutual_information(ensemble, basis) / 2.0
+    ensemble = _ansatz_ensemble(p, two_shot_alphabet(gamma))
+    return measured_mutual_information(ensemble, ansatz_basis(eta, gamma)) / 2.0
 
 
-def _rate_grid(gamma_rad: float, etas: np.ndarray | float, ps: np.ndarray | float):
-    """Vectorized rate over an (eta, p) grid: the axes of etas, then those of
-    ps, so 1-D grids give rate[eta, p] and floats give one rate.
+def _symmetric_conditional_probs(amplitudes: Callable, fixed_rows=()) -> Callable:
+    """etas -> P[eta..., outcome, letter] of a symmetric family on the letters
+    (a, b, c), over the axes of etas; a float eta gives the (outcome, letter)
+    rows as a list of tuples of Python floats, equal to the one-element
+    array's.
+
+    amplitudes(cos eta, sin eta), on floats or arrays, returns
+    (A1a, A1b, A1c, A3a, A3c): e2 is the a <-> b mirror of e1 and A3b = A3a,
+    so the outcome rows are the squares of (A1a, A1b, A1c), (A1b, A1a, A1c)
+    and (A3a, A3a, A3c).  The rows of fixed_rows, the same at every eta,
+    follow them.
+    """
+    def conditional_probs(etas):
+        point = isinstance(etas, float)
+        ce, se = np.cos(etas), np.sin(etas)
+        if point:
+            ce, se = float(ce), float(se)
+        pa1, pb1, pc1, pa3, pc3 = (amp * amp for amp in amplitudes(ce, se))
+        rows = [(pa1, pb1, pc1), (pb1, pa1, pc1), (pa3, pa3, pc3), *fixed_rows]
+        if point:
+            return rows
+        probs = np.empty(np.shape(etas) + (len(rows), 3))
+        for k, row in enumerate(rows):
+            for x, value in enumerate(row):
+                probs[..., k, x] = value
+        return probs
+
+    return conditional_probs
+
+
+def _ideal_conditional_probs(gamma_rad: float) -> Callable:
+    """etas -> P[eta..., outcome, letter] of the symmetric family at one angle
+    (see _symmetric_conditional_probs).
 
     Uses the closed-form frame amplitudes: letters a, b, c have frame
     coordinates (cos g, sin g/sqrt2, +-sin g/sqrt2) and (1, 0, 0).  Agreement
-    with rate() is covered by tests.  Float eta and p stay in Python floats
-    (see _symmetric_prior_rate).
+    with rate() is covered by tests.
     """
     cg, sg = math.cos(gamma_rad), math.sin(gamma_rad)
-    ce, se = np.cos(etas), np.sin(etas)
-    point = isinstance(etas, float) and isinstance(ps, float)
-    if point:
-        ce, se = float(ce), float(se)
-    amp_a1 = cg * se / SQRT2 + sg * (ce + 1.0) / 2.0
-    amp_b1 = cg * se / SQRT2 + sg * (ce - 1.0) / 2.0
-    amp_c1 = se / SQRT2
-    amp_a3 = cg * ce - sg * se / SQRT2
-    if point:
-        pa1, pb1, pc1, pa3, pc3 = (amp * amp for amp in (amp_a1, amp_b1, amp_c1, amp_a3, ce))
-        return _symmetric_prior_rate([(pa1, pb1, pc1), (pb1, pa1, pc1), (pa3, pa3, pc3)], float(ps))
-    probs = np.empty(np.shape(etas) + (3, 3))  # (eta, outcome, letter)
-    probs[..., 0, 0] = amp_a1
-    probs[..., 0, 1] = amp_b1
-    probs[..., 0, 2] = amp_c1
-    probs[..., 1, 0] = amp_b1
-    probs[..., 1, 1] = amp_a1
-    probs[..., 1, 2] = amp_c1
-    probs[..., 2, 0] = amp_a3
-    probs[..., 2, 1] = amp_a3
-    probs[..., 2, 2] = ce
-    np.square(probs, out=probs)
-    return _symmetric_prior_rates(probs, ps)
+
+    def amplitudes(ce, se):
+        return (cg * se / SQRT2 + sg * (ce + 1.0) / 2.0, cg * se / SQRT2 + sg * (ce - 1.0) / 2.0,
+                se / SQRT2, cg * ce - sg * se / SQRT2, ce)
+
+    return _symmetric_conditional_probs(amplitudes)
 
 
 def _prior_weighted(a, b, c, p, q):
@@ -271,12 +248,12 @@ def _symmetric_prior_rates(probs: np.ndarray | list, ps: np.ndarray | float):
     entropies are weighted in the same order, and -x log2 x is summed over
     the outcomes in order (see _symmetric_rate_from_terms).  The pinned
     symmetric-family values depend on this order: any other rounds
-    differently in the last bit, which moves the Nelder-Mead paths.  One
-    (outcome, letter) table, as an array or as a list of rows, and a float p
-    take the float path, _symmetric_prior_rate.
+    differently in the last bit, which moves the Nelder-Mead paths.  A list
+    of (outcome, letter) rows and a float p take the float path,
+    _symmetric_prior_rate.
     """
-    if isinstance(ps, float) and (isinstance(probs, list) or probs.ndim == 2):
-        return _symmetric_prior_rate(probs if isinstance(probs, list) else probs.tolist(), float(ps))
+    if isinstance(probs, list) and isinstance(ps, float):
+        return _symmetric_prior_rate(probs, float(ps))
     ps = np.asarray(ps, dtype=float)
     qs = 1.0 - 2.0 * ps
     by_letter = np.moveaxis(np.asarray(probs), (-1, -2), (0, 1))  # (letter, outcome, eta...)
@@ -292,9 +269,6 @@ def _check_open_range(gamma: Angle) -> float:
     if not 0.0 < gamma.radians < math.pi / 2:
         raise ValueError(f"optimization needs gamma strictly inside (0, 90) deg, got {gamma.degrees}")
     return gamma.radians
-
-
-_RateGrid = Callable[[np.ndarray, np.ndarray], np.ndarray]  # (etas, ps) -> rates, as _rate_grid
 
 
 class _SimplexResult(NamedTuple):
@@ -380,19 +354,21 @@ def _nelder_mead_2d(fun: Callable[[float, float], float], start: tuple[float, fl
     return _SimplexResult(x=(x, y), fun=f0, nfev=nfev, nit=nit, success=nit < maxiter)
 
 
-def _grid_then_refine(rate_grid_at: Callable[[float], _RateGrid], gamma: Angle) -> RateResult:
-    """Maximize rate_grid(etas, ps)[eta, p] over (eta, p), where rate_grid =
-    rate_grid_at(gamma_rad) holds whatever the family builds once per angle.
+def _grid_then_refine(conditional_probs_at: Callable[[float], Callable],
+                      gamma: Angle) -> RateResult:
+    """Maximize the symmetric-family rate over (eta, p), from the
+    etas -> P[eta..., outcome, letter] function that
+    conditional_probs_at(gamma_rad) builds once per angle.
 
     Coarse (eta, p) grid followed by Nelder-Mead refinement from the best
-    cell, bounded to its neighborhood, which evaluates rate_grid at float
-    (eta, p).  Exact grid ties resolve to the smallest eta, then smallest p
-    (row-major argmax order).
+    cell, bounded to its neighborhood, which evaluates float (eta, p).  Exact
+    grid ties resolve to the smallest eta, then smallest p (row-major argmax
+    order).
     """
-    rate_grid = rate_grid_at(_check_open_range(gamma))
+    conditional_probs = conditional_probs_at(_check_open_range(gamma))
     etas = np.linspace(0.0, math.pi, ETA_POINTS, endpoint=False)
     ps = np.linspace(0.0, 0.5, P_POINTS)
-    grid = rate_grid(etas, ps)
+    grid = _symmetric_prior_rates(conditional_probs(etas), ps)
     gi, pi = np.unravel_index(int(np.argmax(grid)), grid.shape)
     d_eta = math.pi / ETA_POINTS
     d_p = 0.5 / (P_POINTS - 1)
@@ -401,7 +377,7 @@ def _grid_then_refine(rate_grid_at: Callable[[float], _RateGrid], gamma: Angle) 
         (float(max(0.0, ps[pi] - 2.0 * d_p)), float(min(0.5, ps[pi] + 2.0 * d_p))),
     )
 
-    result = _nelder_mead_2d(lambda eta, p: -rate_grid(eta, p),
+    result = _nelder_mead_2d(lambda eta, p: -_symmetric_prior_rates(conditional_probs(eta), p),
                              (float(etas[gi]), float(ps[pi])), bounds)
     best = max(-result.fun, float(grid[gi, pi]))
     return RateResult(
@@ -419,7 +395,7 @@ def optimize_r2(gamma: Angle) -> RateResult:
     A dense (eta, p) grid, then Nelder-Mead from the best cell (see
     _grid_then_refine); deterministic.
     """
-    return _grid_then_refine(lambda g: functools.partial(_rate_grid, g), gamma)
+    return _grid_then_refine(_ideal_conditional_probs, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +465,7 @@ def _rate_and_gradient(theta: np.ndarray, letters: np.ndarray) -> tuple[float, n
 
     d_amps = 2.0 * amps * priors * log_ratio
     skew = amps @ d_amps.T - d_amps @ amps.T
-    index, rows, cols, _ = _givens_layout(4)
+    index, rows, cols, _ = _givens_layout()
     d_angles = np.einsum("ka,ab,kb->k", prefixes[index, :, rows], skew, prefixes[index, :, cols])
     return value, np.concatenate([d_angles, d_logits[1:]]) / 2.0
 
@@ -505,7 +481,7 @@ def _product_measurement_start(gamma: Angle) -> np.ndarray:
     basis = np.kron(one_shot, one_shot)
     if np.linalg.det(basis) < 0:
         basis[0] *= -1.0  # outcome projectors are sign blind
-    angles = RotationParams.from_matrix(basis).angles
+    angles = _rotation_angles(basis)
     return np.concatenate([angles, np.zeros(3)])
 
 
@@ -518,7 +494,7 @@ def _ansatz_start(gamma: Angle, ansatz: RateResult) -> np.ndarray:
     basis = np.vstack([rows, fourth])
     if np.linalg.det(basis) < 0:
         basis[3] *= -1.0
-    angles = RotationParams.from_matrix(basis).angles
+    angles = _rotation_angles(basis)
     p = max(ansatz.params["p"], 1e-12)
     pc = max(1.0 - 2.0 * ansatz.params["p"], 1e-12)
     logits = np.array([0.0, math.log(pc / p), -40.0])  # letter d effectively off

@@ -12,9 +12,7 @@ from superadd.capacities import c1
 from superadd.coherent import (
     CoherentAlphabet,
     _clipped_amplitudes,
-    _photon_rows,
     _trunc_conditional_probs,
-    _trunc_rate_grid,
     alpha_from_gamma,
     optimize_r2_truncated,
     optimize_r2_truncated_reused,
@@ -24,8 +22,8 @@ from superadd.coherent import (
     two_shot_coherent_alphabet,
 )
 from superadd.statespace import Angle
-from superadd.twoshot import (_rate_grid, _symmetric_prior_rates, ansatz_basis, ansatz_rows,
-                              optimize_r2)
+from superadd.twoshot import (_ideal_conditional_probs, _symmetric_prior_rates, ansatz_basis,
+                              ansatz_rows, optimize_r2)
 
 
 def deg(d):
@@ -56,13 +54,6 @@ class TestAmplitudeMap:
 
 
 class TestPhotonBasis:
-    def test_batched_rows_equal_scalar_rows(self):
-        etas = np.linspace(0.0, math.pi, 97)
-        for d in [1e-3, 5.0, 17.1, 60.0, 89.9]:
-            alpha = alpha_from_gamma(deg(d))
-            rows = np.stack([_photon_rows(float(eta), alpha) for eta in etas])
-            assert np.array_equal(_photon_rows(etas, alpha), rows)
-
     def test_orthonormal(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
@@ -126,9 +117,9 @@ class TestTruncatedBasis:
         gamma = deg(gamma_deg)
         letters = np.vstack([s.coords for s in two_shot_coherent_alphabet(gamma)[:3]])
         rows = np.vstack([truncated_orthonormal_basis(eta, gamma).matrix, coherent.TWO_PHOTON])
-        probs = np.array(_trunc_conditional_probs(gamma.radians)(eta))
-        assert np.abs(probs - (rows @ letters.T) ** 2).max() <= 1e-14
-        assert (_trunc_rate_grid(gamma.radians)(eta, p)
+        probs = _trunc_conditional_probs(gamma.radians)(eta)
+        assert np.abs(np.array(probs) - (rows @ letters.T) ** 2).max() <= 1e-14
+        assert (_symmetric_prior_rates(probs, p)
                 == pytest.approx(rate_truncated(eta, p, gamma), rel=0, abs=1e-14))
 
     def test_distortion_scales_with_alpha(self):
@@ -187,7 +178,8 @@ class TestTruncatedRate:
         # the symmetric prior tail writes its sums out, and the clipped basis
         # is in closed form; an einsum under either is the general kernel's or
         # the eigendecomposition's slower path come back
-        tail = {"_rate_grid", "_symmetric_prior_rates", "_symmetric_prior_rate"}
+        tail = {"_symmetric_conditional_probs", "conditional_probs", "_symmetric_prior_rates",
+                "_symmetric_prior_rate"}
         calls = Counter()
         einsum = np.einsum
 
@@ -215,7 +207,7 @@ class TestTruncatedRate:
             gamma_rad = rng.uniform(0.05, math.pi / 2 - 0.05)
             eta = rng.uniform(0.0, math.pi)
             p = rng.uniform(0.0, 0.5)
-            fast = _trunc_rate_grid(gamma_rad)(eta, p)
+            fast = _symmetric_prior_rates(_trunc_conditional_probs(gamma_rad)(eta), p)
             slow = rate_truncated(eta, p, Angle(gamma_rad))
             assert fast == pytest.approx(slow, abs=1e-12)
 
@@ -230,11 +222,12 @@ class TestTruncatedRate:
         # so the search paths, must be those of the one-element arrays bit for
         # bit, on the grid's own etas too
         gamma_rad = math.radians(gamma_deg)
-        one_cell = _trunc_rate_grid(gamma_rad)(np.array([eta]), np.array([p]))
+        conditional_probs = _trunc_conditional_probs(gamma_rad)
+        probs = conditional_probs(np.array([eta]))
+        one_cell = _symmetric_prior_rates(probs, np.array([p]))
         assert one_cell.shape == (1, 1)
-        assert _trunc_rate_grid(gamma_rad)(eta, p) == one_cell[0, 0]
-        probs = _trunc_conditional_probs(gamma_rad)(np.array([eta]))
-        rows = _trunc_conditional_probs(gamma_rad)(eta)
+        rows = conditional_probs(eta)
+        assert _symmetric_prior_rates(rows, p) == one_cell[0, 0]
         assert all(type(value) is float for row in rows for value in row)
         assert np.array_equal(rows, probs[0])
         alpha = alpha_from_gamma(Angle(gamma_rad))
@@ -242,7 +235,7 @@ class TestTruncatedRate:
         amplitudes = _clipped_amplitudes(float(ce[0]), float(se[0]), alpha, 0.9, 0.1)
         assert all(type(value) is float for value in amplitudes)
         assert amplitudes == tuple(a[0] for a in _clipped_amplitudes(ce, se, alpha, 0.9, 0.1))
-        assert (_symmetric_prior_rates(probs[0], p)
+        assert (_symmetric_prior_rates(probs[0].tolist(), p)
                 == _symmetric_prior_rates(probs, np.array([p]))[0, 0])
         ps = np.linspace(0.0, 0.5, 101)
         assert np.array_equal(_symmetric_prior_rates(probs[0], ps),
@@ -270,10 +263,12 @@ def test_params_reproduce_value(gamma_deg):
     # each optimizer's value is its rate at the params it reports, exactly
     g = deg(gamma_deg)
     ideal = optimize_r2(g)
-    assert _rate_grid(g.radians, ideal.params["eta"], ideal.params["p"]) == ideal.bits_per_transmission
-    trunc_rate = _trunc_rate_grid(g.radians)
-    for result in (optimize_r2_truncated(g), optimize_r2_truncated_reused(g, ideal=ideal)):
-        assert trunc_rate(result.params["eta"], result.params["p"]) == result.bits_per_transmission
+    for conditional_probs, result in [
+            (_ideal_conditional_probs(g.radians), ideal),
+            (_trunc_conditional_probs(g.radians), optimize_r2_truncated(g)),
+            (_trunc_conditional_probs(g.radians), optimize_r2_truncated_reused(g, ideal=ideal))]:
+        rows = conditional_probs(result.params["eta"])
+        assert _symmetric_prior_rates(rows, result.params["p"]) == result.bits_per_transmission
 
 
 # Optimizer values at fixed angles, so that a refactor of the grid searches

@@ -1,8 +1,11 @@
-"""Every module of the package and of the tests reads each name it imports.
+"""Every module of the package and of the tests reads each name it imports,
+and the package itself reads each of its private top-level functions and
+classes.
 
 Names listed in a module's __all__ count as read, since that is how the
 package's __init__ re-exports them; from __future__ imports are directives,
-not names.
+not names.  A private helper that only the tests call does not belong in the
+package.
 """
 
 import ast
@@ -11,7 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "superadd").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "superadd").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -34,3 +38,20 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_imported_name_is_read(path):
     assert _unused_imports(path) == []
+
+
+def test_every_private_definition_is_read_by_the_package():
+    defined, read = {}, set()
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined[node.name] = f"{path.name} line {node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [f"{name} ({where})" for name, where in sorted(defined.items()) if name not in read]
+    assert unread == []

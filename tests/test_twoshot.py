@@ -20,13 +20,13 @@ from superadd.twoshot import (
     NM_MAXITER,
     NM_XATOL,
     P_POINTS,
-    AnsatzParams,
-    RotationParams,
     _general_rates,
+    _givens_product,
+    _ideal_conditional_probs,
     _letters_matrix,
     _nelder_mead_2d,
     _rate_and_gradient,
-    _rate_grid,
+    _rotation_angles,
     _symmetric_prior_rates,
     ansatz_basis,
     crossover_angle,
@@ -133,9 +133,10 @@ class TestRateFunctional:
         )
         assert forward == pytest.approx(exchanged, abs=1e-12)
 
-    def test_prior_out_of_range_rejected(self):
+    @pytest.mark.parametrize("bad_p", [-0.01, 0.51, 0.6, math.nan])
+    def test_prior_out_of_range_rejected(self, bad_p):
         with pytest.raises(ValueError):
-            rate(0.5, 0.6, deg(10))
+            rate(0.5, bad_p, deg(10))
 
     def test_grid_path_agrees_with_scalar_path(self):
         rng = np.random.default_rng(17)
@@ -143,7 +144,7 @@ class TestRateFunctional:
             gamma_rad = rng.uniform(0.02, math.pi / 2 - 0.02)
             eta = rng.uniform(0.0, math.pi)
             p = rng.uniform(0.0, 0.5)
-            fast = _rate_grid(gamma_rad, eta, p)
+            fast = _symmetric_prior_rates(_ideal_conditional_probs(gamma_rad)(eta), p)
             slow = rate(eta, p, Angle(gamma_rad))
             assert fast == pytest.approx(slow, abs=1e-12)
 
@@ -157,43 +158,27 @@ class TestRateFunctional:
         # Nelder-Mead points call the grid with floats; the values, and so
         # the search paths, must be those of the 1 x 1 grid bit for bit.  The
         # grid's own etas include eta = 0, where some probabilities are zero.
-        gamma_rad = math.radians(gamma_deg)
-        one_cell = _rate_grid(gamma_rad, np.array([eta]), np.array([p]))
+        conditional_probs = _ideal_conditional_probs(math.radians(gamma_deg))
+        one_cell = _symmetric_prior_rates(conditional_probs(np.array([eta])), np.array([p]))
         assert one_cell.shape == (1, 1)
-        assert _rate_grid(gamma_rad, eta, p) == one_cell[0, 0]
+        assert _symmetric_prior_rates(conditional_probs(eta), p) == one_cell[0, 0]
 
     @pytest.mark.parametrize("gamma_deg", [0.05, 0.5, 5, 17, 18.7, 45, 80, 89.9])
-    def test_prior_tail_equals_general_kernel_on_full_grids(self, gamma_deg, monkeypatch):
+    def test_prior_tail_equals_general_kernel_on_full_grids(self, gamma_deg):
         # the written-out tail must round exactly as the general kernel does
         gamma_rad = math.radians(gamma_deg)
         etas = np.array(GRID_ETAS)
         ps = np.linspace(0.0, 0.5, P_POINTS)
-        seen = []
-
-        def recording(probs, ps):
-            seen.append(probs)
-            return _symmetric_prior_rates(probs, ps)
-
-        monkeypatch.setattr(twoshot, "_symmetric_prior_rates", recording)
-        ideal = _rate_grid(gamma_rad, etas, ps)
-        (ideal_probs,) = seen
+        ideal_probs = _ideal_conditional_probs(gamma_rad)(etas)
         assert not ideal_probs.all()  # the eta = 0 row has zero probabilities
-        trunc_probs = _trunc_conditional_probs(gamma_rad)(etas)
-        for probs, rates in [(ideal_probs, ideal),
-                             (trunc_probs, _symmetric_prior_rates(trunc_probs, ps))]:
+        for probs in (ideal_probs, _trunc_conditional_probs(gamma_rad)(etas)):
+            rates = _symmetric_prior_rates(probs, ps)
             assert rates.shape == (ETA_POINTS, P_POINTS)
             assert np.array_equal(rates, general_kernel_prior_rates(probs, ps))
             # the float path, at every eta of three columns, gives the cells
             for j in (0, 37, P_POINTS - 1):
-                floats = [_symmetric_prior_rates(table, float(ps[j])) for table in probs]
+                floats = [_symmetric_prior_rates(table.tolist(), float(ps[j])) for table in probs]
                 assert floats == rates[:, j].tolist()
-
-
-class TestAnsatzParams:
-    @pytest.mark.parametrize("bad_p", [-0.01, 0.51])
-    def test_prior_range(self, bad_p):
-        with pytest.raises(ValueError):
-            AnsatzParams(eta=0.1, p=bad_p)
 
 
 class TestOptimizeR2:
@@ -277,13 +262,9 @@ class TestNelderMead2D:
 
 
 class TestRotationParams:
-    def test_angle_count_enforced(self):
-        with pytest.raises(ValueError, match="angles"):
-            RotationParams(angles=(0.1, 0.2), dim=4)
-
     @given(st.lists(st.floats(-math.pi, math.pi), min_size=6, max_size=6))
     def test_matrix_is_orthogonal(self, angles):
-        m = RotationParams(angles=tuple(angles)).matrix()
+        m = _givens_product(angles)
         assert np.abs(m @ m.T - np.eye(4)).max() < 1e-12
 
     def test_factorization_round_trip(self):
@@ -292,13 +273,13 @@ class TestRotationParams:
             q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
             if np.linalg.det(q) < 0:
                 q[0] *= -1.0
-            assert np.abs(RotationParams.from_matrix(q).matrix() - q).max() < 1e-12
+            assert np.abs(_givens_product(_rotation_angles(q)) - q).max() < 1e-12
 
     def test_reflections_rejected(self):
         m = np.eye(4)
         m[0, 0] = -1.0
         with pytest.raises(ValueError, match="det"):
-            RotationParams.from_matrix(m)
+            _rotation_angles(m)
 
 
 class TestOptimizeGeneral:
@@ -383,7 +364,7 @@ def random_thetas(rng, count):
 
 def explicit_rotation(angles):
     """G_0 G_1 ... G_5 from full 4x4 plane rotations in the order of
-    RotationParams."""
+    _givens_pairs."""
     pairs = [(2, 3), (1, 2), (0, 1), (2, 3), (1, 2), (2, 3)]
     factors = []
     for (i, j), t in zip(pairs, angles):
@@ -403,7 +384,7 @@ class TestGeneralRateKernel:
             thetas = random_thetas(rng, 12)
             rates = _general_rates(thetas, _letters_matrix(gamma))
             for theta, fast in zip(thetas, rates):
-                rotation = RotationParams(tuple(theta[:6])).matrix()
+                rotation = _givens_product(theta[:6])
                 assert np.abs(rotation - explicit_rotation(theta[:6])).max() < 1e-14
                 weights = np.exp(np.concatenate([[0.0], theta[6:]]))
                 ensemble = Ensemble(tuple(zip(weights / weights.sum(), letters)))
