@@ -18,8 +18,8 @@ from .capacities import (
     measured_mutual_information,
 )
 from .coherent import (
-    CoherentAlphabet,
     alpha_from_gamma,
+    coherent_states,
     optimize_r2_truncated,
     optimize_r2_truncated_reused,
     photon_basis,
@@ -50,7 +50,6 @@ from .twoshot import (
 __all__ = [
     "Angle",
     "BracketingError",
-    "CoherentAlphabet",
     "CompletenessError",
     "ConditioningError",
     "Ensemble",
@@ -66,6 +65,7 @@ __all__ = [
     "bootstrap_standard_error",
     "c1",
     "c_infinity",
+    "coherent_states",
     "crossover_angle",
     "embed_alphabet",
     "empirical_mi",

@@ -125,14 +125,9 @@ class RateResult:
         object.__setattr__(self, "bits_per_transmission", min(max(r, 0.0), 1.0))
 
 
-def measured_mutual_information(ensemble: Ensemble, basis: MeasurementBasis) -> float:
-    """Mutual information, in bits, between the letters and the outcomes of a
-    rank-one von Neumann measurement.
-
-    Outcome probabilities are the squared amplitudes |<e_k|state>|^2; the
-    result is H(outcomes under the average state) minus the prior-weighted
-    outcome entropies of the individual states.  Not yet divided by the block
-    length.
+def _born_probabilities(ensemble: Ensemble, basis: MeasurementBasis) -> np.ndarray:
+    """P[outcome, letter] = |<e_k|state>|^2 of a rank-one von Neumann
+    measurement on the ensemble's letters.
 
     Raises:
         CompletenessError: if some state leaks probability outside the basis,
@@ -140,16 +135,22 @@ def measured_mutual_information(ensemble: Ensemble, basis: MeasurementBasis) -> 
     """
     if basis.dim != ensemble.dim:
         raise ValueError(f"basis dimension {basis.dim} != ensemble dimension {ensemble.dim}")
-    amplitudes = basis.matrix @ ensemble.states.T
-    probs = amplitudes**2  # (outcome, letter)
-    totals = probs.sum(axis=0)
-    worst = float(np.abs(totals - 1.0).max())
+    probs = (basis.matrix @ ensemble.states.T) ** 2
+    worst = float(np.abs(probs.sum(axis=0) - 1.0).max())
     if worst > COMPLETENESS_TOL:
         raise CompletenessError(
             f"basis incomplete on ensemble span: outcome probabilities sum to "
             f"1 +- {worst:.3e} (tolerance {COMPLETENESS_TOL:.0e})"
         )
-    return float(mutual_information(probs, ensemble.priors))
+    return probs
+
+
+def measured_mutual_information(ensemble: Ensemble, basis: MeasurementBasis) -> float:
+    """Mutual information, in bits, between the letters and the outcomes of a
+    rank-one von Neumann measurement (see _born_probabilities): H(outcomes
+    under the average state) minus the prior-weighted outcome entropies of the
+    individual states.  Not yet divided by the block length."""
+    return float(mutual_information(_born_probabilities(ensemble, basis), ensemble.priors))
 
 
 def mutual_information(probs: np.ndarray, priors: np.ndarray) -> np.ndarray:

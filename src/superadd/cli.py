@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from . import coherent, mcsim, twoshot
 from .capacities import RateResult, c1, c_infinity
-from .errors import BracketingError, CompletenessError, ConditioningError
+from .errors import BracketingError, CompletenessError
 from .statespace import Angle, two_shot_alphabet
 from .sweeps import SweepTable
 
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
         if args.command == "mc":
             return cmd_mc(args.gamma, args.samples, args.seed)
         parser.error(f"unknown command {args.command!r}")
-    except (BracketingError, CompletenessError, ConditioningError, FloatingPointError) as exc:
+    except (BracketingError, CompletenessError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

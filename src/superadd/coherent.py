@@ -18,15 +18,14 @@ projector as a fourth outcome to keep the outcome distribution normalized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .capacities import RateResult, measured_mutual_information
-from .statespace import Angle, MeasurementBasis, StateVector, lowdin_orthogonalize, tensor
-from .twoshot import (ANSATZ_HYPERPARAMS, P_POINTS, SQRT2, _ansatz_ensemble, _check_open_range,
+from .statespace import Angle, MeasurementBasis, StateVector, _two_shot_letters, lowdin_orthogonalize
+from .twoshot import (ANSATZ_HYPERPARAMS, SQRT2, _ansatz_ensemble, _check_open_range,
                       _grid_then_refine, _symmetric_conditional_probs, _symmetric_prior_rates,
                       optimize_r2)
 
@@ -40,32 +39,14 @@ def alpha_from_gamma(gamma: Angle) -> float:
     return math.sqrt((1.0 - cg) / (1.0 + cg))
 
 
-@dataclass(frozen=True)
-class CoherentAlphabet:
-    """Zero/one-photon truncations of the +-alpha coherent states.
-
-    Both states share the |0> amplitude 1/sqrt(1+alpha^2) and differ in the
-    sign of the |1> amplitude, so their overlap is (1-alpha^2)/(1+alpha^2).
-    """
-
-    alpha: float
-    psi0: StateVector
-    psi1: StateVector
-
-    def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ValueError("amplitude must be nonnegative")
-        expected = (1.0 - self.alpha**2) / (1.0 + self.alpha**2)
-        if abs(self.psi0.inner(self.psi1) - expected) > 1e-12:
-            raise ValueError("state overlap inconsistent with the amplitude")
-
-    @classmethod
-    def for_angle(cls, gamma: Angle) -> "CoherentAlphabet":
-        alpha = alpha_from_gamma(gamma)
-        norm = math.sqrt(1.0 + alpha**2)
-        psi0 = StateVector(np.array([1.0, alpha]) / norm)
-        psi1 = StateVector(np.array([1.0, -alpha]) / norm)
-        return cls(alpha=alpha, psi0=psi0, psi1=psi1)
+def coherent_states(gamma: Angle) -> tuple[StateVector, StateVector]:
+    """Zero/one-photon truncations (psi0, psi1) of the +-alpha coherent states,
+    the photon-space counterpart of embed_alphabet: both share the |0>
+    amplitude 1/sqrt(1+alpha^2), so their overlap (1-alpha^2)/(1+alpha^2) is
+    cos(gamma)."""
+    alpha = alpha_from_gamma(gamma)
+    norm = math.sqrt(1.0 + alpha**2)
+    return StateVector(np.array([1.0, alpha]) / norm), StateVector(np.array([1.0, -alpha]) / norm)
 
 
 def _photon_row_entries(ce, se, alpha):
@@ -112,14 +93,7 @@ def photon_basis(eta: float, gamma: Angle) -> np.ndarray:
 def two_shot_coherent_alphabet(gamma: Angle) -> tuple[StateVector, StateVector, StateVector, StateVector]:
     """Two-shot letters as products of the truncated one-mode states, in photon
     coordinates (first transmission on the + polarization)."""
-    states = CoherentAlphabet.for_angle(gamma)
-    psi0, psi1 = states.psi0, states.psi1
-    return (
-        tensor(psi0, psi1),
-        tensor(psi1, psi0),
-        tensor(psi0, psi0),
-        tensor(psi1, psi1),
-    )
+    return _two_shot_letters(*coherent_states(gamma))
 
 
 def truncated_orthonormal_basis(eta: float, gamma: Angle) -> MeasurementBasis:
@@ -203,31 +177,22 @@ def optimize_r2_truncated(gamma: Angle) -> RateResult:
 
 def optimize_r2_truncated_reused(gamma: Angle, ideal: RateResult | None = None) -> RateResult:
     """Clipped-basis rate at the ideal family's optimal eta, optimizing the
-    prior only: a p grid, then a bounded scalar search around its best cell,
-    reporting the better of the two points.  ideal is optimize_r2(gamma),
-    computed when omitted."""
+    prior only, by a bounded scalar search over p in [0, 0.5].  No grid is
+    needed: at a fixed measurement the mutual information is concave in the
+    prior (Gallager 1968, sec. 4.5) and (p, p, 1 - 2p) is affine in p, so the
+    rate has a single maximum there.  ideal is optimize_r2(gamma), computed
+    when omitted."""
     g = _check_open_range(gamma)
     if ideal is None:
         ideal = optimize_r2(gamma)
     eta = ideal.params["eta"]
-    ps = np.linspace(0.0, 0.5, P_POINTS)
     probs = _trunc_conditional_probs(g)(eta)  # (outcome, letter)
-    grid = _symmetric_prior_rates(probs, ps)
-    pi = int(np.argmax(grid))
-    lo = max(0.0, ps[pi] - 2.0 * (0.5 / (P_POINTS - 1)))
-    hi = min(0.5, ps[pi] + 2.0 * (0.5 / (P_POINTS - 1)))
-    result = minimize_scalar(
-        lambda p: -_symmetric_prior_rates(probs, p),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    refined = -float(result.fun)
-    best, p = (refined, float(result.x)) if refined >= grid[pi] else (float(grid[pi]), float(ps[pi]))
+    result = minimize_scalar(lambda p: -_symmetric_prior_rates(probs, p), bounds=(0.0, 0.5),
+                             method="bounded", options={"xatol": 1e-12})
     return RateResult(
-        bits_per_transmission=best,
-        params={"eta": eta, "p": p},
-        iterations=int(grid.size + result.nfev + ideal.iterations),
+        bits_per_transmission=-float(result.fun),
+        params={"eta": eta, "p": float(result.x)},
+        iterations=int(result.nfev + ideal.iterations),
         converged=bool(result.success) and ideal.converged,
         hyperparams=dict(ANSATZ_HYPERPARAMS),
     )

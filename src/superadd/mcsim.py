@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacities import COMPLETENESS_TOL, LN2, Ensemble, _xlog2x
+from .capacities import LN2, Ensemble, _born_probabilities, _xlog2x
 from .statespace import MeasurementBasis
 
 BLOCK_SIZE = 250_000  # trials per child stream of the master seed
@@ -38,14 +38,11 @@ class SimConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("need at least one sample")
-        probs = (self.basis.matrix @ self.ensemble.states.T) ** 2
-        gap = float(np.abs(probs.sum(axis=0) - 1.0).max())
-        if gap > COMPLETENESS_TOL:
-            raise ValueError(f"basis incomplete on ensemble span by {gap:.3e}")
+        _born_probabilities(self.ensemble, self.basis)  # dimension and completeness checks
 
     def outcome_probabilities(self) -> np.ndarray:
         """P[letter, outcome] under the Born rule."""
-        return (self.basis.matrix @ self.ensemble.states.T).T ** 2
+        return _born_probabilities(self.ensemble, self.basis).T
 
 
 @dataclass(frozen=True)

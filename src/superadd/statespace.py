@@ -153,8 +153,13 @@ def two_shot_alphabet(gamma: Angle) -> tuple[StateVector, StateVector, StateVect
     coordinates.  The mixed letters a, b overlap the repeated letters c, d by
     cos(gamma) and each other by cos^2(gamma).
     """
-    u0, u1 = embed_alphabet(gamma)
-    return tensor(u0, u1), tensor(u1, u0), tensor(u0, u0), tensor(u1, u1)
+    return _two_shot_letters(*embed_alphabet(gamma))
+
+
+def _two_shot_letters(first: StateVector, second: StateVector):
+    """The letter order (a, b, c, d) of every two-shot alphabet:
+    (first x second, second x first, first x first, second x second)."""
+    return tensor(first, second), tensor(second, first), tensor(first, first), tensor(second, second)
 
 
 def lowdin_orthogonalize(vectors: Sequence) -> MeasurementBasis:

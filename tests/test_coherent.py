@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from superadd import coherent
 from superadd.capacities import c1
 from superadd.coherent import (
-    CoherentAlphabet,
     _clipped_amplitudes,
     _trunc_conditional_probs,
     alpha_from_gamma,
+    coherent_states,
     optimize_r2_truncated,
     optimize_r2_truncated_reused,
     photon_basis,
@@ -47,8 +47,8 @@ class TestAmplitudeMap:
     def test_truncated_overlap_reproduces_cos_gamma(self):
         for d in np.linspace(0.5, 89.5, 100):
             gamma = deg(d)
-            states = CoherentAlphabet.for_angle(gamma)
-            assert states.psi0.inner(states.psi1) == pytest.approx(
+            psi0, psi1 = coherent_states(gamma)
+            assert psi0.inner(psi1) == pytest.approx(
                 math.cos(gamma.radians), abs=1e-12
             )
 
@@ -164,10 +164,8 @@ class TestTruncatedRate:
                 return fn(*args)
             return counted
 
-        for name in ("alpha_from_gamma", "two_shot_coherent_alphabet"):
+        for name in ("alpha_from_gamma", "coherent_states", "two_shot_coherent_alphabet"):
             monkeypatch.setattr(coherent, name, counting(name, getattr(coherent, name)))
-        monkeypatch.setattr(CoherentAlphabet, "for_angle",
-                            staticmethod(counting("for_angle", CoherentAlphabet.for_angle)))
         for optimize in (optimize_r2_truncated, optimize_r2_truncated_reused):
             calls.clear()
             optimize(deg(17.1))
@@ -257,8 +255,24 @@ class TestTruncatedRate:
             assert ideal <= c_infinity(gamma) + 1e-9
 
 
-@pytest.mark.parametrize("gamma_deg", [1e-3, 0.01, 0.05, 0.2, 0.5, 1.0, 2.5, 5.0, 8.0, 12.0, 15.0,
-                                       17.1, 18.7, 22.0, 30.0, 40.0, 50.0, 65.0, 80.0, 89.9])
+PARAMS_ANGLES = [1e-3, 0.01, 0.05, 0.2, 0.5, 1.0, 2.5, 5.0, 8.0, 12.0, 15.0,
+                 17.1, 18.7, 22.0, 30.0, 40.0, 50.0, 65.0, 80.0, 89.9]
+
+
+@pytest.mark.parametrize("gamma_deg", PARAMS_ANGLES)
+def test_reused_prior_search_reaches_the_p_grid(gamma_deg):
+    # the rate is concave in p at a fixed measurement, so the bounded search
+    # over [0, 0.5] needs no grid; it may fall short of a 101-point grid's
+    # best by at most an ulp or so, where p* sits on the 0.5 bound
+    g = deg(gamma_deg)
+    ideal = optimize_r2(g)
+    probs = _trunc_conditional_probs(g.radians)(ideal.params["eta"])
+    grid_best = _symmetric_prior_rates(probs, np.linspace(0.0, 0.5, 101)).max()
+    reused = optimize_r2_truncated_reused(g, ideal=ideal).bits_per_transmission
+    assert reused >= grid_best - 1e-15
+
+
+@pytest.mark.parametrize("gamma_deg", PARAMS_ANGLES)
 def test_params_reproduce_value(gamma_deg):
     # each optimizer's value is its rate at the params it reports, exactly
     g = deg(gamma_deg)

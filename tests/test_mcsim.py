@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from superadd import cli, mcsim
 from superadd.capacities import Ensemble, _xlog2x
+from superadd.errors import CompletenessError
 from superadd.mcsim import JointCounts, SimConfig, bootstrap_standard_error, empirical_mi, simulate
 from superadd.statespace import Angle, MeasurementBasis, StateVector, embed_alphabet, two_shot_alphabet
 from superadd.twoshot import ansatz_basis, optimize_r2
@@ -77,8 +78,10 @@ class TestSimulate:
         u0, u1 = embed_alphabet(deg(50))
         pair = Ensemble(((0.5, u0), (0.5, u1)))
         lone = MeasurementBasis((StateVector(np.array([1.0, 0.0])),))
-        with pytest.raises(ValueError, match="incomplete"):
+        with pytest.raises(CompletenessError, match="incomplete"):
             SimConfig(samples=10, seed=1, ensemble=pair, basis=lone)
+        with pytest.raises(ValueError, match="basis dimension 4 != ensemble dimension 2"):
+            SimConfig(samples=10, seed=1, ensemble=pair, basis=basis)
 
 
 class TestEmpiricalMi:
@@ -124,6 +127,24 @@ class TestConsistency:
         assert errors[0] > errors[1] > errors[2]
         se = bootstrap_standard_error(counts, resamples=100, seed=101)
         assert abs(empirical_mi(counts) - analytic) <= 3 * se
+
+    @pytest.mark.parametrize("gamma_deg, samples, seed", [
+        (5.0, 1_000_000, 1), (10.0, 300_000, 5), (17.0, 1_000_000, 2), (60.0, 1_000_000, 4)])
+    def test_bootstrap_agrees_with_delta_method(self, gamma_deg, samples, seed):
+        # the delta-method standard error of the plug-in mutual information
+        # is sqrt(Var[i] / N), i = log2 P(x, y) / (P(x) P(y)) over the
+        # empirical joint table (Paninski 2003); simulation seed s and
+        # bootstrap seed s + 1, as the mc command uses them
+        ensemble, basis, _ = optimal_two_shot_setup(gamma_deg)
+        counts = simulate(SimConfig(samples=samples, seed=seed, ensemble=ensemble, basis=basis))
+        joint = counts.counts / counts.total
+        seen = joint > 0
+        info = np.log2(joint[seen] / np.outer(joint.sum(axis=1), joint.sum(axis=0))[seen])
+        weights = joint[seen]
+        variance = (weights * info**2).sum() - (weights * info).sum() ** 2
+        delta = math.sqrt(variance / counts.total)
+        bootstrap = bootstrap_standard_error(counts, resamples=100, seed=seed + 1)
+        assert 0.8 <= bootstrap / delta <= 1.25
 
     def test_bootstrap_needs_resamples(self):
         counts = JointCounts(counts=np.diag([10, 10]), total=20)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from superadd.coherent import two_shot_coherent_alphabet
 from superadd.errors import ConditioningError
 from superadd.statespace import (
     Angle,
@@ -95,21 +96,23 @@ class TestTwoShotAlphabet:
 
     def test_gram_matches_closed_form(self):
         # off-diagonal pattern: mixed-vs-repeated cos g, mixed-vs-mixed and
-        # repeated-vs-repeated cos^2 g
-        for d in np.linspace(5.0, 85.0, 17):
-            a, b, c, dd = two_shot_alphabet(deg(d))
-            cg = math.cos(math.radians(d))
-            rows = np.vstack([s.coords for s in (a, b, c, dd)])
-            gram = rows @ rows.T
-            expected = np.array(
-                [
-                    [1.0, cg * cg, cg, cg],
-                    [cg * cg, 1.0, cg, cg],
-                    [cg, cg, 1.0, cg * cg],
-                    [cg, cg, cg * cg, 1.0],
-                ]
-            )
-            assert np.abs(gram - expected).max() < 1e-12
+        # repeated-vs-repeated cos^2 g, in the plane embedding and in photon
+        # coordinates alike, which share one letter order
+        for alphabet in (two_shot_alphabet, two_shot_coherent_alphabet):
+            for d in np.linspace(5.0, 85.0, 17):
+                a, b, c, dd = alphabet(deg(d))
+                cg = math.cos(math.radians(d))
+                rows = np.vstack([s.coords for s in (a, b, c, dd)])
+                gram = rows @ rows.T
+                expected = np.array(
+                    [
+                        [1.0, cg * cg, cg, cg],
+                        [cg * cg, 1.0, cg, cg],
+                        [cg, cg, 1.0, cg * cg],
+                        [cg, cg, cg * cg, 1.0],
+                    ]
+                )
+                assert np.abs(gram - expected).max() < 1e-12, (alphabet.__name__, d)
 
 
 class TestStateVectorInvariants:
