@@ -8,9 +8,9 @@ Writes, under --out-dir (default results/):
 
 The two-shot sweep is the slow one: three optimizations per grid point, the
 reused-eta column taking its eta from the row's r2 optimum.  The whole script
-takes about 1.7 s on a 2-vCPU host, 1.0 s of it the import (a busy phase of a
-shared host, where the import takes twice its usual time); pass --quick for
-coarser grids (about 1.5 s).
+takes 0.65-1.0 s on a shared 2-vCPU host, 0.2-0.25 s of it starting Python and
+importing superadd with numpy (scipy is not loaded); pass --quick for coarser
+grids (0.5-0.65 s).
 """
 
 import argparse

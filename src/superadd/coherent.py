@@ -21,13 +21,12 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .capacities import RateResult, measured_mutual_information
 from .statespace import Angle, MeasurementBasis, StateVector, _two_shot_letters, lowdin_orthogonalize
-from .twoshot import (ANSATZ_HYPERPARAMS, SQRT2, _ansatz_ensemble, _check_open_range,
-                      _grid_then_refine, _symmetric_conditional_probs, _symmetric_prior_rates,
-                      optimize_r2)
+from .twoshot import (ANSATZ_HYPERPARAMS, SQRT2, _ansatz_ensemble, _bounded_brent,
+                      _check_open_range, _grid_then_refine, _symmetric_conditional_probs,
+                      _symmetric_prior_rates, optimize_r2)
 
 TWO_PHOTON = np.array([0.0, 0.0, 0.0, 1.0])
 
@@ -177,22 +176,21 @@ def optimize_r2_truncated(gamma: Angle) -> RateResult:
 
 def optimize_r2_truncated_reused(gamma: Angle, ideal: RateResult | None = None) -> RateResult:
     """Clipped-basis rate at the ideal family's optimal eta, optimizing the
-    prior only, by a bounded scalar search over p in [0, 0.5].  No grid is
-    needed: at a fixed measurement the mutual information is concave in the
-    prior (Gallager 1968, sec. 4.5) and (p, p, 1 - 2p) is affine in p, so the
-    rate has a single maximum there.  ideal is optimize_r2(gamma), computed
-    when omitted."""
+    prior only, by Brent's bounded search over p in [0, 0.5]
+    (twoshot._bounded_brent).  No grid is needed: at a fixed measurement the
+    mutual information is concave in the prior (Gallager 1968, sec. 4.5) and
+    (p, p, 1 - 2p) is affine in p, so the rate has a single maximum there.
+    ideal is optimize_r2(gamma), computed when omitted."""
     g = _check_open_range(gamma)
     if ideal is None:
         ideal = optimize_r2(gamma)
     eta = ideal.params["eta"]
     probs = _trunc_conditional_probs(g)(eta)  # (outcome, letter)
-    result = minimize_scalar(lambda p: -_symmetric_prior_rates(probs, p), bounds=(0.0, 0.5),
-                             method="bounded", options={"xatol": 1e-12})
+    result = _bounded_brent(lambda p: -_symmetric_prior_rates(probs, p), 0.0, 0.5, xatol=1e-12)
     return RateResult(
-        bits_per_transmission=-float(result.fun),
-        params={"eta": eta, "p": float(result.x)},
-        iterations=int(result.nfev + ideal.iterations),
-        converged=bool(result.success) and ideal.converged,
+        bits_per_transmission=-result.fun,
+        params={"eta": eta, "p": result.x},
+        iterations=result.nfev + ideal.iterations,
+        converged=result.success and ideal.converged,
         hyperparams=dict(ANSATZ_HYPERPARAMS),
     )

@@ -21,7 +21,6 @@ import operator
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .capacities import LN2, Ensemble, RateResult, _xlog2x, c1
 from .capacities import measured_mutual_information, mutual_information
@@ -42,6 +41,15 @@ ANSATZ_HYPERPARAMS = {
     "nm_xatol": NM_XATOL,
     "nm_fatol": NM_FATOL,
 }
+
+# glibc's malloc raises its mmap threshold to the size of the largest
+# mmap-ed block freed so far, and its heap-trim threshold to twice that
+# (mallopt(3)).  Until some block that large is freed, the grid search's
+# temporaries, about 1.2 MB per call, go back to the system at the end of
+# each call and are page-faulted in again by the next, which costs about a
+# fifth of a sweep's time.  So one 2 MiB block is allocated and freed at
+# import.
+np.empty(1 << 18)
 
 
 def _givens_pairs() -> tuple[tuple[int, int], ...]:
@@ -354,6 +362,106 @@ def _nelder_mead_2d(fun: Callable[[float, float], float], start: tuple[float, fl
     return _SimplexResult(x=(x, y), fun=f0, nfev=nfev, nit=nit, success=nit < maxiter)
 
 
+class _BrentResult(NamedTuple):
+    """The fields of scipy's OptimizeResult that optimize_r2_truncated_reused
+    reads."""
+
+    x: float
+    fun: float
+    nfev: int
+    success: bool
+
+
+BRENT_MAXFUN = 500  # scipy's default
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _bounded_brent(fun: Callable[[float], float], lo: float, hi: float,
+                   xatol: float) -> _BrentResult:
+    """Minimize fun(x) over [lo, hi] by Brent's bounded search (Brent 1973,
+    ch. 5), golden sections safeguarding parabolic steps, in Python floats.
+
+    A port of scipy's bounded scalar search (scipy.optimize.minimize_scalar
+    with method="bounded", the option xatol and maxiter=BRENT_MAXFUN, as of
+    scipy 1.17) that rounds every step as scipy does, so that its points,
+    and so x, fun, nfev and success, are scipy's bit for bit:
+    - the first point is lo + (3 - sqrt 5)/2 (hi - lo), and the tolerance at
+      x is sqrt(2.2e-16) |x| + xatol / 3;
+    - no step is shorter than that tolerance, and a parabolic step landing
+      within twice it of a bound is replaced by one of that length towards
+      the midpoint, so fun is never evaluated at lo or hi: a minimum on a
+      bound is reported up to that tolerance inside it.  The reused prior
+      search of coherent.optimize_r2_truncated_reused, whose best prior at
+      1e-3 and 0.01 deg is the bound p = 0.5, reports there a rate 1-2e-16
+      below the rate at p = 0.5;
+    - the search stops after BRENT_MAXFUN evaluations with success False,
+      and success is also False when the last x, fun(x) or trial value is
+      NaN.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = fun(xf)
+    nfev = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN_MEAN * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = fun(x)
+        nfev += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if nfev >= BRENT_MAXFUN:
+            return _BrentResult(x=xf, fun=fx, nfev=nfev, success=False)
+    success = not (math.isnan(xf) or math.isnan(fx) or math.isnan(fu))
+    return _BrentResult(x=xf, fun=fx, nfev=nfev, success=success)
+
+
 def _grid_then_refine(conditional_probs_at: Callable[[float], Callable],
                       gamma: Angle) -> RateResult:
     """Maximize the symmetric-family rate over (eta, p), from the
@@ -544,7 +652,12 @@ def optimize_general(gamma: Angle, seed: int, ideal: RateResult | None = None) -
     nothing more: the parameterization covers rotations only up to projector
     sign, which is enough because outcomes are rank one.  ideal is
     optimize_r2(gamma), the symmetric-family optimum, computed when omitted.
+
+    The only caller of scipy in the package, which it imports on first use:
+    the other commands never load it.
     """
+    from scipy.optimize import minimize
+
     _check_open_range(gamma)
     letters = _letters_matrix(gamma)
     if ideal is None:

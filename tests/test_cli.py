@@ -204,13 +204,18 @@ class TestMc:
         assert empirical == pytest.approx(analytic, abs=0.02)
 
 
-def run_module(*args):
-    """python -m superadd in a subprocess that imports the package under test,
-    also when pytest alone put it on the path."""
+def run_python(*args):
+    """python in a subprocess that imports the package under test, also when
+    pytest alone put it on the path."""
     package_root = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "superadd", *args], capture_output=True,
+    return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def run_module(*args):
+    """python -m superadd in a subprocess (see run_python)."""
+    return run_python("-m", "superadd", *args)
 
 
 class TestEntryPoints:
@@ -222,3 +227,33 @@ class TestEntryPoints:
     def test_argparse_rejects_unknown_choice(self):
         proc = run_module("point", "--gamma", "10", "--which", "bogus")
         assert proc.returncode == 2
+
+
+# runs cli.main on each argv of RUNS, then prints the loaded scipy modules
+LOADED_SCIPY = """\
+import contextlib, io, sys
+from superadd import cli
+for argv in RUNS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+class TestScipyImport:
+    def test_commands_other_than_the_probe_never_load_scipy(self, tmp_path):
+        runs = [["point", "--gamma", "10", "--which", "r2trunc"],
+                ["sweep", "--from", "10", "--to", "20", "--steps", "3",
+                 "--columns", "r2,r2trunc,r2trunc_reused,c1,cinf,ratio,diff,r2_over_c1",
+                 "--out", str(tmp_path / "sweep.csv")],
+                ["crossover", "--which", "truncated"],
+                ["mc", "--gamma", "10", "--samples", "2000"]]
+        proc = run_python("-c", LOADED_SCIPY.replace("RUNS", repr(runs)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_probe_loads_scipy_on_first_use(self):
+        runs = [["point", "--gamma", "30", "--which", "r2gen"]]
+        proc = run_python("-c", LOADED_SCIPY.replace("RUNS", repr(runs)))
+        assert proc.returncode == 0, proc.stderr
+        assert "'scipy.optimize'" in proc.stdout
