@@ -23,18 +23,15 @@ from .coherent import (
     optimize_r2_truncated,
     optimize_r2_truncated_reused,
     photon_basis,
-    rate_truncated,
-    truncated_orthonormal_basis,
     two_shot_coherent_alphabet,
 )
-from .errors import BracketingError, CompletenessError, ConditioningError
+from .errors import BracketingError, CompletenessError
 from .mcsim import JointCounts, SimConfig, bootstrap_standard_error, empirical_mi, simulate
 from .statespace import (
     Angle,
     MeasurementBasis,
     StateVector,
     embed_alphabet,
-    lowdin_orthogonalize,
     tensor,
     two_shot_alphabet,
 )
@@ -44,14 +41,12 @@ from .twoshot import (
     crossover_angle,
     optimize_general,
     optimize_r2,
-    rate,
 )
 
 __all__ = [
     "Angle",
     "BracketingError",
     "CompletenessError",
-    "ConditioningError",
     "Ensemble",
     "JointCounts",
     "MeasurementBasis",
@@ -69,18 +64,14 @@ __all__ = [
     "crossover_angle",
     "embed_alphabet",
     "empirical_mi",
-    "lowdin_orthogonalize",
     "measured_mutual_information",
     "optimize_general",
     "optimize_r2",
     "optimize_r2_truncated",
     "optimize_r2_truncated_reused",
     "photon_basis",
-    "rate",
-    "rate_truncated",
     "simulate",
     "tensor",
-    "truncated_orthonormal_basis",
     "two_shot_alphabet",
     "two_shot_coherent_alphabet",
     "__version__",

@@ -144,6 +144,9 @@ def write_csv(table: SweepTable, stream) -> None:
 
 
 def read_csv(path) -> SweepTable:
+    """Parse a table written by write_csv; raises ValueError for a file with
+    no header or no data row, a header that repeats a name, and a row whose
+    field count is not the header's."""
     provenance = ""
     header: list[str] = []
     rows: list[list[float]] = []
@@ -155,10 +158,17 @@ def read_csv(path) -> SweepTable:
             if line.startswith("#"):
                 provenance = line[1:].strip()
                 continue
+            fields = line.split(",")
             if not header:
-                header = line.split(",")
+                header = fields
+                if len(set(header)) != len(header):
+                    raise ValueError(f"{path}: the header repeats a column name: {line}")
                 continue
-            rows.append([float(tok) for tok in line.split(",")])
+            if len(fields) != len(header):
+                raise ValueError(f"{path}: a row has {len(fields)} fields, the header {len(header)}")
+            rows.append([float(tok) for tok in fields])
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     data = np.array(rows)
     return SweepTable(
         gamma_deg=data[:, 0],
@@ -250,9 +260,7 @@ def main(argv=None) -> int:
                              seed=args.seed)
         if args.command == "crossover":
             return cmd_crossover(args.which)
-        if args.command == "mc":
-            return cmd_mc(args.gamma, args.samples, args.seed)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_mc(args.gamma, args.samples, args.seed)
     except (BracketingError, CompletenessError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -262,7 +270,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -22,13 +22,11 @@ from typing import Callable
 
 import numpy as np
 
-from .capacities import RateResult, measured_mutual_information
-from .statespace import Angle, MeasurementBasis, StateVector, _two_shot_letters, lowdin_orthogonalize
-from .twoshot import (ANSATZ_HYPERPARAMS, SQRT2, _ansatz_ensemble, _bounded_brent,
-                      _check_open_range, _grid_then_refine, _symmetric_conditional_probs,
-                      _symmetric_prior_rates, optimize_r2)
-
-TWO_PHOTON = np.array([0.0, 0.0, 0.0, 1.0])
+from .capacities import RateResult
+from .statespace import Angle, StateVector, _two_shot_letters
+from .twoshot import (ANSATZ_HYPERPARAMS, SQRT2, _bounded_brent, _check_open_range,
+                      _grid_then_refine, _symmetric_conditional_probs, _symmetric_prior_rates,
+                      optimize_r2)
 
 
 def alpha_from_gamma(gamma: Angle) -> float:
@@ -95,37 +93,6 @@ def two_shot_coherent_alphabet(gamma: Angle) -> tuple[StateVector, StateVector, 
     return _two_shot_letters(*coherent_states(gamma))
 
 
-def truncated_orthonormal_basis(eta: float, gamma: Angle) -> MeasurementBasis:
-    """Clip the two-photon components and re-orthogonalize.
-
-    Zeroes the two-photon amplitude of each vector and applies symmetric
-    orthogonalization on the clipped span; the outputs have exactly zero
-    two-photon amplitude.  The clipped Gram matrix is the identity minus a
-    rank-one defect of norm at most 3/4, so it never approaches singularity
-    inside (0, 90) degrees.  This is the reference construction, through the
-    Gram matrix's eigendecomposition; the optimizers use the rank-one closed
-    form of the same basis (_clipped_amplitudes), which agrees with it to
-    about 1e-15.
-    """
-    _check_open_range(gamma)
-    clipped = _photon_rows(eta, alpha_from_gamma(gamma))
-    clipped[:, 3] = 0.0
-    return lowdin_orthogonalize(clipped)
-
-
-def _scoring_basis(eta: float, gamma: Angle) -> MeasurementBasis:
-    """Truncated basis completed with the two-photon projector so the four
-    outcomes resolve the identity."""
-    rows = truncated_orthonormal_basis(eta, gamma).matrix
-    return MeasurementBasis.from_rows(np.vstack([rows, TWO_PHOTON]))
-
-
-def rate_truncated(eta: float, p: float, gamma: Angle) -> float:
-    """Bits per transmission of the clipped basis against the coherent letters."""
-    ensemble = _ansatz_ensemble(p, two_shot_coherent_alphabet(gamma))
-    return measured_mutual_information(ensemble, _scoring_basis(eta, gamma)) / 2.0
-
-
 def _clipped_amplitudes(ce, se, alpha, l0, l1):
     """Amplitudes (A1a, A1b, A1c, A3a, A3c) of the clipped, orthonormalized
     basis on the letters a = (l0, -l1, l1), b = (l0, l1, -l1) and
@@ -137,7 +104,9 @@ def _clipped_amplitudes(ce, se, alpha, l0, l1):
     the two-photon column, M M^T = I - t t^T, whose inverse square root is
     I + k t t^T with k = 1 / (r (1 + r)) and r = sqrt(1 - |t|^2).  The
     orthonormalized rows are then M + k t (t^T M), which has no cancellation
-    as alpha -> 0; t = (u3, u3, w3), and t^T M = (s0, s1, s1).
+    as alpha -> 0; t = (u3, u3, w3), and t^T M = (s0, s1, s1).  This is the
+    symmetric (Lowdin) orthogonalization of the clipped rows, their polar
+    factor, which the tests compute by SVD and hold these amplitudes to.
     """
     u0, u1, u2, u3, w0, w1, w3 = _photon_row_entries(ce, se, alpha)
     t2 = 2.0 * u3 * u3 + w3 * w3

@@ -5,13 +5,5 @@ class CompletenessError(ValueError):
     """A measurement basis does not resolve the span of the ensemble."""
 
 
-class ConditioningError(ValueError):
-    """A Gram matrix is too close to singular for a stable inverse square root."""
-
-    def __init__(self, message: str, smallest_eigenvalue: float):
-        super().__init__(message)
-        self.smallest_eigenvalue = smallest_eigenvalue
-
-
 class BracketingError(RuntimeError):
     """A sign-change bracket required by bisection does not exist."""

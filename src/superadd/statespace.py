@@ -1,4 +1,4 @@
-"""State embeddings, tensor products, and orthonormalization primitives.
+"""State embeddings, tensor products, and the measurement-basis type.
 
 Everything lives in real Euclidean coordinates: every inner product that
 appears in the constructions of this package is real, so complex amplitudes
@@ -15,11 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConditioningError
-
 NORM_TOL = 1e-12
 ORTHO_TOL = 1e-10
-GRAM_RANK_TOL = 1e-10
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -124,11 +121,6 @@ class MeasurementBasis:
         return len(self.vectors)
 
 
-def _coerce_rows(vectors: Sequence) -> np.ndarray:
-    rows = [v.coords if isinstance(v, StateVector) else np.asarray(v, dtype=float) for v in vectors]
-    return np.vstack(rows)
-
-
 def embed_alphabet(gamma: Angle) -> tuple[StateVector, StateVector]:
     """Embed the two alphabet states in the plane with overlap cos(gamma).
 
@@ -160,30 +152,3 @@ def _two_shot_letters(first: StateVector, second: StateVector):
     """The letter order (a, b, c, d) of every two-shot alphabet:
     (first x second, second x first, first x first, second x second)."""
     return tensor(first, second), tensor(second, first), tensor(first, first), tensor(second, second)
-
-
-def lowdin_orthogonalize(vectors: Sequence) -> MeasurementBasis:
-    """Symmetric (Lowdin) orthogonalization of linearly independent vectors.
-
-    Computes e'_i = M^(-1/2) v_i where M is the frame operator sum |v_i><v_i|
-    restricted to span(v), via the eigendecomposition of the Gram matrix
-    (which carries the same spectrum as M on the span).  The result is the
-    orthonormal set closest to the input in least-squares sense; inputs need
-    not be normalized.
-
-    Raises:
-        ConditioningError: if the smallest Gram eigenvalue is at or below
-            1e-10, i.e. the inputs are numerically dependent.
-    """
-    rows = _coerce_rows(vectors)
-    gram = rows @ rows.T
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    smallest = float(eigvals[0])
-    if smallest <= GRAM_RANK_TOL:
-        raise ConditioningError(
-            f"input vectors are numerically dependent: smallest Gram eigenvalue "
-            f"{smallest:.3e} <= {GRAM_RANK_TOL:.0e}",
-            smallest_eigenvalue=smallest,
-        )
-    inv_sqrt = (eigvecs * eigvals**-0.5) @ eigvecs.T
-    return MeasurementBasis.from_rows(inv_sqrt @ rows)

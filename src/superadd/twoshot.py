@@ -22,8 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .capacities import LN2, Ensemble, RateResult, _xlog2x, c1
-from .capacities import measured_mutual_information, mutual_information
+from .capacities import LN2, Ensemble, RateResult, _xlog2x, c1, mutual_information
 from .errors import BracketingError
 from .statespace import Angle, MeasurementBasis, StateVector, two_shot_alphabet
 
@@ -165,17 +164,6 @@ def _ansatz_ensemble(p: float, letters: tuple[StateVector, ...]) -> Ensemble:
     return Ensemble(((p, a), (p, b), (1.0 - 2.0 * p, c)))
 
 
-def rate(eta: float, p: float, gamma: Angle) -> float:
-    """Bits per transmission of the symmetric family at (eta, p).
-
-    Half the measured mutual information of the ensemble
-    {(p, a), (p, b), (1-2p, c)} against the three-outcome basis: the half
-    accounts for the two transmissions consumed per measurement.
-    """
-    ensemble = _ansatz_ensemble(p, two_shot_alphabet(gamma))
-    return measured_mutual_information(ensemble, ansatz_basis(eta, gamma)) / 2.0
-
-
 def _symmetric_conditional_probs(amplitudes: Callable, fixed_rows=()) -> Callable:
     """etas -> P[eta..., outcome, letter] of a symmetric family on the letters
     (a, b, c), over the axes of etas; a float eta gives the (outcome, letter)
@@ -211,8 +199,8 @@ def _ideal_conditional_probs(gamma_rad: float) -> Callable:
     (see _symmetric_conditional_probs).
 
     Uses the closed-form frame amplitudes: letters a, b, c have frame
-    coordinates (cos g, sin g/sqrt2, +-sin g/sqrt2) and (1, 0, 0).  Agreement
-    with rate() is covered by tests.
+    coordinates (cos g, sin g/sqrt2, +-sin g/sqrt2) and (1, 0, 0).  The tests
+    hold the rates from them to measured_mutual_information over ansatz_basis.
     """
     cg, sg = math.cos(gamma_rad), math.sin(gamma_rad)
 

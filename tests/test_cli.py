@@ -108,6 +108,19 @@ class TestSweep:
         for name in expected.column_names:
             assert np.array_equal(table.columns[name], expected.columns[name])
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "no data rows"),
+        ("# superadd sweep\ngamma_deg,c1\n", "no data rows"),
+        ("gamma_deg,c1\n10,0.1,0.2\n", "3 fields, the header 2"),
+        ("gamma_deg,c1,cinf\n10,0.1\n", "2 fields, the header 3"),
+        ("gamma_deg,c1,c1\n10,0.1,0.2\n", "repeats a column name"),
+    ], ids=["empty", "header_only", "wide_row", "narrow_row", "repeated_name"])
+    def test_read_csv_rejects_malformed_table(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            cli.read_csv(path)
+
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep", "--from", "8", "--to", "16", "--steps", "3",

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from superadd import coherent
-from superadd.capacities import c1
+from superadd.capacities import c1, measured_mutual_information
 from superadd.coherent import (
     _clipped_amplitudes,
     _trunc_conditional_probs,
@@ -17,17 +17,33 @@ from superadd.coherent import (
     optimize_r2_truncated,
     optimize_r2_truncated_reused,
     photon_basis,
-    rate_truncated,
-    truncated_orthonormal_basis,
     two_shot_coherent_alphabet,
 )
-from superadd.statespace import Angle
-from superadd.twoshot import (_ideal_conditional_probs, _symmetric_prior_rates, ansatz_basis,
-                              ansatz_rows, optimize_r2)
+from superadd.statespace import Angle, MeasurementBasis
+from superadd.twoshot import (_ansatz_ensemble, _ideal_conditional_probs, _symmetric_prior_rates,
+                              ansatz_basis, ansatz_rows, optimize_r2)
 
 
 def deg(d):
     return Angle.from_degrees(d)
+
+
+def scoring_rows(eta, gamma):
+    """The clipped basis from its readable pieces: photon_basis's rows with
+    the two-photon column zeroed, re-orthonormalized to their polar factor
+    (the symmetric orthogonalization), then the two-photon projector as the
+    fourth outcome.  The oracle of _clipped_amplitudes's closed form."""
+    rows = photon_basis(eta, gamma)
+    rows[:, 3] = 0.0
+    u, _, vt = np.linalg.svd(rows, full_matrices=False)
+    return np.vstack([u @ vt, (0.0, 0.0, 0.0, 1.0)])
+
+
+def rate_truncated(eta, p, gamma):
+    """Bits per transmission of the clipped basis against the coherent letters."""
+    ensemble = _ansatz_ensemble(p, two_shot_coherent_alphabet(gamma))
+    basis = MeasurementBasis.from_rows(scoring_rows(eta, gamma))
+    return measured_mutual_information(ensemble, basis) / 2.0
 
 
 class TestAmplitudeMap:
@@ -95,14 +111,14 @@ class TestPhotonBasis:
 
 class TestTruncatedBasis:
     def test_two_photon_amplitude_exactly_zero(self):
-        rows = truncated_orthonormal_basis(0.6, deg(15)).matrix
+        rows = scoring_rows(0.6, deg(15))[:3]
         assert np.array_equal(rows[:, 3], np.zeros(3))
 
     def test_orthonormal(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             gamma = deg(rng.uniform(0.5, 89.5))
-            rows = truncated_orthonormal_basis(rng.uniform(0, math.pi), gamma).matrix
+            rows = scoring_rows(rng.uniform(0, math.pi), gamma)[:3]
             assert np.abs(rows @ rows.T - np.eye(3)).max() < 1e-10
 
     @given(
@@ -111,12 +127,12 @@ class TestTruncatedBasis:
         p=st.floats(0.0, 0.5),
     )
     def test_closed_form_equals_lowdin_basis(self, gamma_deg, eta, p):
-        # the rank-one closed form of the optimizers against the
-        # eigendecomposition of truncated_orthonormal_basis, down to angles
-        # where the two-photon column t vanishes
+        # the rank-one closed form of the optimizers against the polar
+        # factor of the clipped rows by SVD, down to angles where the
+        # two-photon column t vanishes
         gamma = deg(gamma_deg)
         letters = np.vstack([s.coords for s in two_shot_coherent_alphabet(gamma)[:3]])
-        rows = np.vstack([truncated_orthonormal_basis(eta, gamma).matrix, coherent.TWO_PHOTON])
+        rows = scoring_rows(eta, gamma)
         probs = _trunc_conditional_probs(gamma.radians)(eta)
         assert np.abs(np.array(probs) - (rows @ letters.T) ** 2).max() <= 1e-14
         assert (_symmetric_prior_rates(probs, p)
@@ -126,7 +142,7 @@ class TestTruncatedBasis:
         def gap(d):
             gamma = deg(d)
             original = photon_basis(0.7, gamma)
-            clipped = truncated_orthonormal_basis(0.7, gamma).matrix
+            clipped = scoring_rows(0.7, gamma)[:3]
             return np.linalg.norm(clipped - original, axis=1).max()
 
         for d in [1.0, 2.0, 5.0]:
@@ -241,7 +257,7 @@ class TestTruncatedRate:
 
     def test_prior_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            rate_truncated(0.4, 0.7, deg(10))
+            _ansatz_ensemble(0.7, two_shot_coherent_alphabet(deg(10)))
 
     def test_rate_chain_over_sweep_grid(self):
         # clipped <= ideal family <= asymptotic capacity, pointwise

@@ -6,13 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from superadd.coherent import two_shot_coherent_alphabet
-from superadd.errors import ConditioningError
 from superadd.statespace import (
     Angle,
     MeasurementBasis,
     StateVector,
     embed_alphabet,
-    lowdin_orthogonalize,
     tensor,
     two_shot_alphabet,
 )
@@ -142,47 +140,3 @@ class TestMeasurementBasisInvariants:
     def test_complete_basis_accepted(self):
         basis = MeasurementBasis.from_rows(np.eye(3))
         assert len(basis) == 3 and basis.dim == 3
-
-
-class TestLowdin:
-    def test_orthonormal_input_unchanged(self):
-        rng = np.random.default_rng(7)
-        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        basis = lowdin_orthogonalize(q[:3])
-        assert np.abs(basis.matrix - q[:3]).max() < 1e-12
-
-    def test_pair_at_sixty_degrees(self):
-        v1 = np.array([1.0, 0.0])
-        v2 = np.array([0.5, math.sqrt(3) / 2])
-        basis = lowdin_orthogonalize([v1, v2])
-        gram = basis.matrix @ basis.matrix.T
-        assert np.abs(gram - np.eye(2)).max() < 1e-10
-
-    def test_accepts_unnormalized_input(self):
-        basis = lowdin_orthogonalize([np.array([2.0, 0.0, 0.0]), np.array([1.0, 3.0, 0.0])])
-        gram = basis.matrix @ basis.matrix.T
-        assert np.abs(gram - np.eye(2)).max() < 1e-12
-
-    def test_swap_equivariance(self):
-        # swapping the input pair swaps the outputs correspondingly
-        rng = np.random.default_rng(123)
-        for _ in range(25):
-            v1, v2 = rng.normal(size=(2, 3))
-            forward = lowdin_orthogonalize([v1, v2]).matrix
-            swapped = lowdin_orthogonalize([v2, v1]).matrix
-            assert np.abs(forward - swapped[::-1]).max() < 1e-12
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(42)
-        for _ in range(10):
-            vs = rng.normal(size=(3, 5))
-            once = lowdin_orthogonalize(vs).matrix
-            twice = lowdin_orthogonalize(once).matrix
-            assert np.abs(twice - once).max() < 1e-10
-
-    def test_near_dependent_input_raises(self):
-        v = np.array([1.0, 0.0, 0.0])
-        w = v + 1e-6 * np.array([0.0, 1.0, 0.0])
-        with pytest.raises(ConditioningError, match="eigenvalue") as err:
-            lowdin_orthogonalize([v, w / np.linalg.norm(w)])
-        assert err.value.smallest_eigenvalue < 1e-10

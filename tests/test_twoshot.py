@@ -22,6 +22,7 @@ from superadd.twoshot import (
     NM_MAXITER,
     NM_XATOL,
     P_POINTS,
+    _ansatz_ensemble,
     _bounded_brent,
     _general_rates,
     _givens_product,
@@ -35,7 +36,6 @@ from superadd.twoshot import (
     crossover_angle,
     optimize_general,
     optimize_r2,
-    rate,
 )
 from test_coherent import PARAMS_ANGLES
 
@@ -45,6 +45,14 @@ GRID_ETAS = np.linspace(0.0, math.pi, ETA_POINTS, endpoint=False).tolist()
 
 def deg(d):
     return Angle.from_degrees(d)
+
+
+def rate(eta, p, gamma):
+    """The symmetric family's rate at (eta, p) from its readable pieces: half
+    the measured mutual information of {(p, a), (p, b), (1-2p, c)} against
+    ansatz_basis, the oracle of the closed-form frame amplitudes."""
+    ensemble = _ansatz_ensemble(p, two_shot_alphabet(gamma))
+    return measured_mutual_information(ensemble, ansatz_basis(eta, gamma)) / 2.0
 
 
 def general_kernel_prior_rates(probs, ps):
@@ -140,7 +148,7 @@ class TestRateFunctional:
     @pytest.mark.parametrize("bad_p", [-0.01, 0.51, 0.6, math.nan])
     def test_prior_out_of_range_rejected(self, bad_p):
         with pytest.raises(ValueError):
-            rate(0.5, bad_p, deg(10))
+            _ansatz_ensemble(bad_p, two_shot_alphabet(deg(10)))
 
     def test_grid_path_agrees_with_scalar_path(self):
         rng = np.random.default_rng(17)
