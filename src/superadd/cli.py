@@ -11,6 +11,7 @@ numerical or bracketing failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Iterable
 
@@ -114,6 +115,8 @@ def sweep_table(from_deg: float, to_deg: float, steps: int, columns: Iterable[st
     unknown = [c for c in columns if c not in SWEEP_COLUMNS]
     if unknown:
         raise ValueError(f"unknown sweep columns: {unknown}")
+    if not columns or len(set(columns)) != len(columns):
+        raise ValueError(f"need distinct sweep columns, at least one, got {columns}")
     grid = np.linspace(from_deg, to_deg, steps)
 
     rows = []
@@ -207,7 +210,8 @@ def cmd_mc(gamma_deg: float, samples: int, seed: int) -> int:
     analytic = 2.0 * result.bits_per_transmission
     empirical = mcsim.empirical_mi(counts)
     se = mcsim.bootstrap_standard_error(counts, resamples=100, seed=seed + 1)
-    z = (empirical - analytic) / se if se > 0 else float("inf")
+    miss = empirical - analytic  # at zero spread, z is inf with the sign of the miss, or 0
+    z = miss / se if se > 0 else (math.copysign(math.inf, miss) if miss else 0.0)
     print(f"analytic_mi_bits = {analytic:.10f}")
     print(f"empirical_mi_bits = {empirical:.10f}")
     print(f"bootstrap_se = {se:.4e}")

@@ -24,8 +24,8 @@ import numpy as np
 
 from .capacities import RateResult
 from .statespace import Angle, StateVector, _two_shot_letters
-from .twoshot import (ANSATZ_HYPERPARAMS, SQRT2, _bounded_brent, _check_open_range,
-                      _grid_then_refine, _symmetric_conditional_probs, _symmetric_prior_rates,
+from .twoshot import (ANSATZ_HYPERPARAMS, SQRT2, _check_open_range, _grid_then_refine,
+                      _symmetric_conditional_probs, _symmetric_prior_argmax, _symmetric_prior_rates,
                       optimize_r2)
 
 
@@ -144,22 +144,19 @@ def optimize_r2_truncated(gamma: Angle) -> RateResult:
 
 
 def optimize_r2_truncated_reused(gamma: Angle, ideal: RateResult | None = None) -> RateResult:
-    """Clipped-basis rate at the ideal family's optimal eta, optimizing the
-    prior only, by Brent's bounded search over p in [0, 0.5]
-    (twoshot._bounded_brent).  No grid is needed: at a fixed measurement the
-    mutual information is concave in the prior (Gallager 1968, sec. 4.5) and
-    (p, p, 1 - 2p) is affine in p, so the rate has a single maximum there.
-    ideal is optimize_r2(gamma), computed when omitted."""
+    """Clipped-basis rate at the ideal family's optimal eta, with the prior
+    solved exactly by twoshot._symmetric_prior_argmax.  ideal is
+    optimize_r2(gamma), computed when omitted."""
     g = _check_open_range(gamma)
     if ideal is None:
         ideal = optimize_r2(gamma)
     eta = ideal.params["eta"]
     probs = _trunc_conditional_probs(g)(eta)  # (outcome, letter)
-    result = _bounded_brent(lambda p: -_symmetric_prior_rates(probs, p), 0.0, 0.5, xatol=1e-12)
+    p, slope_evals = _symmetric_prior_argmax(probs)
     return RateResult(
-        bits_per_transmission=-result.fun,
-        params={"eta": eta, "p": result.x},
-        iterations=result.nfev + ideal.iterations,
-        converged=result.success and ideal.converged,
+        bits_per_transmission=_symmetric_prior_rates(probs, p),
+        params={"eta": eta, "p": p},
+        iterations=slope_evals + ideal.iterations,
+        converged=ideal.converged,
         hyperparams=dict(ANSATZ_HYPERPARAMS),
     )

@@ -261,6 +261,41 @@ def _symmetric_prior_rates(probs: np.ndarray | list, ps: np.ndarray | float):
     return _symmetric_rate_from_terms(mixture_terms, _xlog2x(by_letter), ps, qs)
 
 
+def _symmetric_prior_slope(rows, p: float) -> float:
+    """Twice the slope in p of _symmetric_prior_rate(rows, p), in Python
+    floats: the sum over the (outcome, letter) rows (a, b, c) of
+    a log2 a + b log2 b - 2 c log2 c - d log2 m, with d = a + b - 2c and the
+    mixture m = (a + b) p + c (1 - 2p).  The 1/ln 2 of the derivative drops
+    out because the d sum to zero.  A zero m with d != 0 at p = 0 or 0.5
+    makes the slope infinite, with the sign of d; between them m is zero
+    only by underflow, and the row's term, below 1e-300, is left out."""
+    slope = 0.0
+    for a, b, c in rows:
+        slope += sum(w * x * math.log2(x) for x, w in ((a, 1.0), (b, 1.0), (c, -2.0)) if x)
+        d, m = a + b - 2.0 * c, (a + b) * p + c * (1.0 - 2.0 * p)
+        if d and m:
+            slope -= d * math.log2(m)
+        elif d and p in (0.0, 0.5):
+            slope += math.copysign(math.inf, d)
+    return slope
+
+
+def _symmetric_prior_argmax(rows) -> tuple[float, int]:
+    """The prior p in [0, 0.5] that maximizes _symmetric_prior_rate(rows, p),
+    and the number of slope evaluations taken.  The rate is concave in the
+    prior at a fixed measurement (Gallager 1968, sec. 4.5) and (p, p, 1 - 2p)
+    is affine in p, so the slope falls with p: p is 0.5 if the slope there is
+    >= 0, and otherwise bisection of [0, 0.5], until the midpoint is an
+    endpoint, finds the last float with a slope >= 0 (or 0)."""
+    if _symmetric_prior_slope(rows, 0.5) >= 0.0:
+        return 0.5, 1
+    lo, hi, evals = 0.0, 0.5, 1
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        evals += 1
+        lo, hi = (mid, hi) if _symmetric_prior_slope(rows, mid) >= 0.0 else (lo, mid)
+    return lo, evals
+
+
 def _check_open_range(gamma: Angle) -> float:
     if not 0.0 < gamma.radians < math.pi / 2:
         raise ValueError(f"optimization needs gamma strictly inside (0, 90) deg, got {gamma.degrees}")
@@ -348,106 +383,6 @@ def _nelder_mead_2d(fun: Callable[[float, float], float], start: tuple[float, fl
         simplex.sort(key=_FIRST)
     f0, x, y = simplex[0]
     return _SimplexResult(x=(x, y), fun=f0, nfev=nfev, nit=nit, success=nit < maxiter)
-
-
-class _BrentResult(NamedTuple):
-    """The fields of scipy's OptimizeResult that optimize_r2_truncated_reused
-    reads."""
-
-    x: float
-    fun: float
-    nfev: int
-    success: bool
-
-
-BRENT_MAXFUN = 500  # scipy's default
-_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
-
-
-def _bounded_brent(fun: Callable[[float], float], lo: float, hi: float,
-                   xatol: float) -> _BrentResult:
-    """Minimize fun(x) over [lo, hi] by Brent's bounded search (Brent 1973,
-    ch. 5), golden sections safeguarding parabolic steps, in Python floats.
-
-    A port of scipy's bounded scalar search (scipy.optimize.minimize_scalar
-    with method="bounded", the option xatol and maxiter=BRENT_MAXFUN, as of
-    scipy 1.17) that rounds every step as scipy does, so that its points,
-    and so x, fun, nfev and success, are scipy's bit for bit:
-    - the first point is lo + (3 - sqrt 5)/2 (hi - lo), and the tolerance at
-      x is sqrt(2.2e-16) |x| + xatol / 3;
-    - no step is shorter than that tolerance, and a parabolic step landing
-      within twice it of a bound is replaced by one of that length towards
-      the midpoint, so fun is never evaluated at lo or hi: a minimum on a
-      bound is reported up to that tolerance inside it.  The reused prior
-      search of coherent.optimize_r2_truncated_reused, whose best prior at
-      1e-3 and 0.01 deg is the bound p = 0.5, reports there a rate 1-2e-16
-      below the rate at p = 0.5;
-    - the search stops after BRENT_MAXFUN evaluations with success False,
-      and success is also False when the last x, fun(x) or trial value is
-      NaN.
-    """
-    a, b = lo, hi
-    fulc = a + _GOLDEN_MEAN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = fun(xf)
-    nfev = 1
-    fu = math.inf
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = _GOLDEN_MEAN * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = fun(x)
-        nfev += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if nfev >= BRENT_MAXFUN:
-            return _BrentResult(x=xf, fun=fx, nfev=nfev, success=False)
-    success = not (math.isnan(xf) or math.isnan(fx) or math.isnan(fu))
-    return _BrentResult(x=xf, fun=fx, nfev=nfev, success=success)
 
 
 def _grid_then_refine(conditional_probs_at: Callable[[float], Callable],

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superadd import cli, coherent, twoshot
+from superadd import cli, coherent, mcsim, twoshot
 from superadd.capacities import c1
 from superadd.coherent import optimize_r2_truncated_reused
 from superadd.statespace import Angle
@@ -165,6 +165,9 @@ class TestSweep:
         # the ratio cinf/c1 is 0/0 at gamma = 0
         assert run_cli(["sweep", "--from", "0", "--to", "20", "--steps", "3",
                         "--columns", "c1,cinf,ratio", "--out", out], capsys)[0] == 2
+        for columns in ("c1,c1,cinf", ","):  # a repeated name, no name
+            assert run_cli(["sweep", "--from", "10", "--to", "20", "--steps", "3",
+                            "--columns", columns, "--out", out], capsys)[0] == 2
 
     def test_unwritable_path(self, capsys):
         code, _, err = run_cli(
@@ -203,6 +206,16 @@ class TestMc:
     def test_zero_samples_rejected(self, capsys):
         code, _, _ = run_cli(["mc", "--gamma", "10", "--samples", "0", "--seed", "1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("shift, z", [(None, "-inf"), (0.0, "+0.000"), (1.0, "+inf")])
+    def test_zero_spread_z_takes_the_sign_of_the_miss(self, shift, z, capsys, monkeypatch):
+        # one sample: the bootstrap SE is 0, and the empirical value 0 is low
+        if shift is not None:
+            analytic = 2.0 * twoshot.optimize_r2(Angle.from_degrees(10)).bits_per_transmission
+            monkeypatch.setattr(mcsim, "empirical_mi", lambda counts: analytic + shift)
+        code, out, _ = run_cli(["mc", "--gamma", "10", "--samples", "1", "--seed", "0"], capsys)
+        assert code == 0
+        assert out.splitlines()[2:4] == ["bootstrap_se = 0.0000e+00", f"z = {z}"]
 
     def test_near_orthogonal_setup_hits_three_symbol_value(self, capsys):
         # at 89.9 deg the optimum is the noiseless three-symbol channel, so

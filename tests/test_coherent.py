@@ -2,6 +2,7 @@ import math
 import traceback
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -171,7 +172,7 @@ class TestTruncatedRate:
         assert reused > 0
 
     def test_letters_built_once_per_optimization(self, monkeypatch):
-        # not once per Nelder-Mead or minimize_scalar point
+        # not once per Nelder-Mead point or prior slope evaluation
         calls = Counter()
 
         def counting(name, fn):
@@ -275,17 +276,31 @@ PARAMS_ANGLES = [1e-3, 0.01, 0.05, 0.2, 0.5, 1.0, 2.5, 5.0, 8.0, 12.0, 15.0,
                  17.1, 18.7, 22.0, 30.0, 40.0, 50.0, 65.0, 80.0, 89.9]
 
 
+def exact_prior_rate(rows, p):
+    """_symmetric_prior_rates(rows, p) in 40-digit arithmetic, the oracle below
+    the float rate's rounding (about 1e-16, where O(1) entropies cancel)."""
+    with mpmath.workdps(40):
+        priors = (mpmath.mpf(p), mpmath.mpf(p), 1 - 2 * mpmath.mpf(p))
+        h = lambda x: -x * mpmath.log(x, 2) if x else 0  # noqa: E731
+        mixture = sum(h(sum(w * mpmath.mpf(x) for w, x in zip(priors, row))) for row in rows)
+        letters = sum(w * h(mpmath.mpf(row[x])) for row in rows for x, w in enumerate(priors))
+        return (mixture - letters) / 2
+
+
 @pytest.mark.parametrize("gamma_deg", PARAMS_ANGLES)
 def test_reused_prior_search_reaches_the_p_grid(gamma_deg):
-    # the rate is concave in p at a fixed measurement, so the bounded search
-    # over [0, 0.5] needs no grid; it may fall short of a 101-point grid's
-    # best by at most an ulp or so, where p* sits on the 0.5 bound
+    # the rate is concave in p, so the exact search beats every p of a grid.
+    # At 1e-3 deg the best p gains only 1.7e-20 over p = 0.5, far below the
+    # float rate's rounding, so the exact comparison is the one that shows it
     g = deg(gamma_deg)
     ideal = optimize_r2(g)
-    probs = _trunc_conditional_probs(g.radians)(ideal.params["eta"])
-    grid_best = _symmetric_prior_rates(probs, np.linspace(0.0, 0.5, 101)).max()
-    reused = optimize_r2_truncated_reused(g, ideal=ideal).bits_per_transmission
-    assert reused >= grid_best - 1e-15
+    rows = _trunc_conditional_probs(g.radians)(ideal.params["eta"])
+    ps = np.linspace(0.0, 0.5, 101)
+    grid_best = _symmetric_prior_rates(rows, ps).max()
+    reused = optimize_r2_truncated_reused(g, ideal=ideal)
+    assert reused.bits_per_transmission >= grid_best
+    exact = exact_prior_rate(rows, reused.params["p"])
+    assert all(exact >= exact_prior_rate(rows, p) for p in ps.tolist())
 
 
 @pytest.mark.parametrize("gamma_deg", PARAMS_ANGLES)

@@ -1,6 +1,6 @@
 """Every module of the package and of the tests reads each name it imports,
-and the package itself reads each of its private top-level functions and
-classes.
+and the package itself reads each of its private top-level functions,
+classes and assigned names.
 
 Names listed in a module's __all__ count as read, since that is how the
 package's __init__ re-exports them; from __future__ imports are directives,
@@ -45,9 +45,14 @@ def test_every_private_definition_is_read_by_the_package():
     for path in PACKAGE:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
-                defined[node.name] = f"{path.name} line {node.lineno}"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:  # the names an assignment binds; other statements bind none here
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.name} line {node.lineno}"
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)

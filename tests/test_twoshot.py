@@ -4,9 +4,9 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
 from superadd.capacities import (Ensemble, c1, c_infinity, measured_mutual_information,
                                  mutual_information)
@@ -14,16 +14,14 @@ from superadd.coherent import (_trunc_conditional_probs, optimize_r2_truncated,
                                optimize_r2_truncated_reused)
 from superadd.errors import BracketingError
 from superadd.statespace import Angle, MeasurementBasis, two_shot_alphabet
-from superadd import coherent, twoshot
+from superadd import twoshot
 from superadd.twoshot import (
-    BRENT_MAXFUN,
     ETA_POINTS,
     NM_FATOL,
     NM_MAXITER,
     NM_XATOL,
     P_POINTS,
     _ansatz_ensemble,
-    _bounded_brent,
     _general_rates,
     _givens_product,
     _ideal_conditional_probs,
@@ -31,7 +29,9 @@ from superadd.twoshot import (
     _nelder_mead_2d,
     _rate_and_gradient,
     _rotation_angles,
+    _symmetric_prior_argmax,
     _symmetric_prior_rates,
+    _symmetric_prior_slope,
     ansatz_basis,
     crossover_angle,
     optimize_general,
@@ -273,71 +273,41 @@ class TestNelderMead2D:
             assert ours.success == (ours.nit < maxiter)
 
 
-def scipy_bounded_brent(fun, lo, hi, xatol, maxfun=BRENT_MAXFUN):
-    """scipy's bounded scalar search on fun(x), the reference of the float
-    port, as (x, fun, nfev, success)."""
-    result = minimize_scalar(fun, bounds=(lo, hi), method="bounded",
-                             options={"xatol": xatol, "maxiter": maxfun})
-    return float(result.x), float(result.fun), result.nfev, bool(result.success)
+class TestSymmetricPriorSearch:
+    @given(
+        gamma=st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True),
+        eta=st.floats(0.0, math.pi),
+        p=st.floats(1e-3, 0.5 - 1e-3),
+        conditional_probs_at=st.sampled_from([_ideal_conditional_probs, _trunc_conditional_probs]),
+    )
+    # a first row (sin^2 gamma, 0, 0) whose mixture underflows to 0 inside (0, 0.5)
+    @example(gamma=2e-162, eta=0.0, p=0.25, conditional_probs_at=_ideal_conditional_probs)
+    def test_slope_is_the_rate_derivative(self, gamma, eta, p, conditional_probs_at):
+        rows, h = conditional_probs_at(gamma)(eta), 1e-7
+        central = (_symmetric_prior_rates(rows, p + h) - _symmetric_prior_rates(rows, p - h)) / h
+        assert _symmetric_prior_slope(rows, p) == pytest.approx(central, rel=1e-6, abs=1e-8)
 
+    def test_zero_mixture_makes_the_slope_infinite(self):
+        # the third outcome never fires for c, the fourth only for c: their
+        # mixtures vanish at p = 0 and p = 0.5
+        rows = [(0.5, 0.0, 0.25), (0.0, 0.5, 0.25), (0.5, 0.5, 0.0), (0.0, 0.0, 0.5)]
+        assert (_symmetric_prior_slope(rows, 0.0), _symmetric_prior_slope(rows, 0.5)) == (math.inf, -math.inf)
+        p, _ = _symmetric_prior_argmax(rows)
+        assert 0.0 < p < 0.5
+        assert _symmetric_prior_slope(rows, p) >= 0.0 > _symmetric_prior_slope(rows, math.nextafter(p, 1.0))
 
-class TestBoundedBrent:
-    # equal reprs are equal bits, as in TestNelderMead2D
-
-    def test_equals_scipy_on_the_reused_prior_search(self, monkeypatch):
-        runs = []
-
-        def checked(fun, lo, hi, xatol):
-            ours = _bounded_brent(fun, lo, hi, xatol)
-            runs.append((repr(tuple(ours)), repr(scipy_bounded_brent(fun, lo, hi, xatol)),
-                         fun(hi) < ours.fun))
-            return ours
-
-        monkeypatch.setattr(coherent, "_bounded_brent", checked)
-        for gamma_deg in PARAMS_ANGLES:
-            optimize_r2_truncated_reused(deg(gamma_deg))
-        assert len(runs) == len(PARAMS_ANGLES)
-        for ours, reference, _ in runs:
-            assert ours == reference
-        # at 1e-3 and 0.01 deg the best prior is the bound p = 0.5, which the
-        # search never evaluates, so it reports a rate just below p = 0.5's
-        assert [below for _, _, below in runs] == [True, True] + [False] * (len(runs) - 2)
-
-    @pytest.mark.parametrize("fun", [
-        lambda x: float(math.floor(8 * x)),  # piecewise constant: exact ties
-        lambda x: math.floor(16 * x) / 16 + (x - 0.3) ** 2,
-        lambda x: 0.0,
-        lambda x: (x - 0.3) ** 2,  # smooth, no ties
-        lambda x: math.nan if x > 0.6 else (x - 0.3) ** 2,  # NaN on part of the range
-    ])
-    @pytest.mark.parametrize("xatol", [1e-12, 1e-5])
-    def test_equals_scipy_with_ties(self, fun, xatol):
-        ours = _bounded_brent(fun, 0.0, 1.0, xatol)
-        assert repr(tuple(ours)) == repr(scipy_bounded_brent(fun, 0.0, 1.0, xatol))
-
-    @pytest.mark.parametrize("fun, lo, hi, bound", [(lambda x: x, -0.5, 0.5, -0.5),
-                                                    (lambda x: -x, -0.5, 0.5, 0.5),
-                                                    (lambda x: x * x, 0.0, 1.0, 0.0)])
-    def test_minimum_on_a_bound_is_never_evaluated(self, fun, lo, hi, bound):
-        # the search stays a tolerance inside the bounds, so a minimum on one
-        # is reported slightly inside it
-        points = []
-        ours = _bounded_brent(lambda x: points.append(x) or fun(x), lo, hi, 1e-12)
-        assert repr(tuple(ours)) == repr(scipy_bounded_brent(fun, lo, hi, 1e-12))
-        assert ours.success and lo not in points and hi not in points
-        assert 0.0 < abs(ours.x - bound) < 1e-7
-
-    def test_stopped_by_maxfun(self, monkeypatch):
-        monkeypatch.setattr(twoshot, "BRENT_MAXFUN", 6)
-        fun = lambda x: math.cos(7 * x) + x * x  # noqa: E731
-        ours = _bounded_brent(fun, -2.0, 3.0, 1e-12)
-        assert repr(tuple(ours)) == repr(scipy_bounded_brent(fun, -2.0, 3.0, 1e-12, maxfun=6))
-        assert ours.nfev == 6 and not ours.success
-
-    def test_nan_objective_fails(self):
-        ours = _bounded_brent(lambda x: math.nan, 0.0, 0.5, 1e-12)
-        assert repr(tuple(ours)) == repr(scipy_bounded_brent(lambda x: math.nan, 0.0, 0.5, 1e-12))
-        assert not ours.success
+    @pytest.mark.parametrize("gamma_deg", PARAMS_ANGLES)
+    def test_argmax_sits_on_the_slope_sign_change(self, gamma_deg):
+        # the reused prior search: p = 0.5 with the rate rising there, or the
+        # last float before the slope turns negative
+        g = deg(gamma_deg)
+        ideal = optimize_r2(g)
+        rows = _trunc_conditional_probs(g.radians)(ideal.params["eta"])
+        p, evals = _symmetric_prior_argmax(rows)
+        result = optimize_r2_truncated_reused(g, ideal=ideal)
+        assert (result.params["p"], result.iterations) == (p, evals + ideal.iterations)
+        assert _symmetric_prior_slope(rows, p) >= 0.0
+        assert p == 0.5 or _symmetric_prior_slope(rows, math.nextafter(p, 1.0)) < 0.0
 
 
 class TestRotationParams:
