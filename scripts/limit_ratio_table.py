@@ -13,7 +13,7 @@ from superadd.twoshot import crossover_angle
 
 def main() -> int:
     print(f"{'gamma_deg':>10} {'r2':>14} {'c1':>14} {'r2/c1':>10}")
-    for gamma_deg in (8.0, 4.0, 2.0, 1.0, 0.5):
+    for gamma_deg in (8.0, 4.0, 2.0, 1.0, 0.5, 0.2, 0.1, 0.05):
         gamma = Angle.from_degrees(gamma_deg)
         r2 = optimize_r2(gamma).bits_per_transmission
         base = c1(gamma)

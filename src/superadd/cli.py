@@ -128,7 +128,7 @@ def sweep_table(from_deg: float, to_deg: float, steps: int, columns: Iterable[st
     provenance = (
         f"superadd sweep from={from_deg:g} to={to_deg:g} steps={steps} "
         f"columns={','.join(columns)} seed={seed} eta_points={twoshot.ETA_POINTS} "
-        f"p_points={twoshot.P_POINTS} nm_fatol={twoshot.NM_FATOL:g} "
+        f"p_points={twoshot.P_POINTS} eta_xatol={twoshot.ETA_XATOL:g} "
         f"version={__version__}"
     )
     return SweepTable(

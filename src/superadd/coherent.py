@@ -145,14 +145,14 @@ def optimize_r2_truncated(gamma: Angle) -> RateResult:
 
 def optimize_r2_truncated_reused(gamma: Angle, ideal: RateResult | None = None) -> RateResult:
     """Clipped-basis rate at the ideal family's optimal eta, with the prior
-    solved exactly by twoshot._symmetric_prior_argmax.  ideal is
-    optimize_r2(gamma), computed when omitted."""
+    solved exactly by twoshot._symmetric_prior_argmax, warm-started from the
+    ideal family's p.  ideal is optimize_r2(gamma), computed when omitted."""
     g = _check_open_range(gamma)
     if ideal is None:
         ideal = optimize_r2(gamma)
     eta = ideal.params["eta"]
     probs = _trunc_conditional_probs(g)(eta)  # (outcome, letter)
-    p, slope_evals = _symmetric_prior_argmax(probs)
+    p, slope_evals = _symmetric_prior_argmax(probs, ideal.params["p"])
     return RateResult(
         bits_per_transmission=_symmetric_prior_rates(probs, p),
         params={"eta": eta, "p": p},

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -31,14 +31,11 @@ SQRT2 = math.sqrt(2.0)
 # Grid-then-refine settings of the symmetric family.
 ETA_POINTS = 240  # over [0, pi), the family's period
 P_POINTS = 101  # over [0, 0.5]
-NM_XATOL = 1e-8
-NM_FATOL = 1e-10  # rate tolerance of the local refinement
-NM_MAXITER = 4000
+ETA_XATOL = 1e-8  # the eta search stops when its inner points are this close
 ANSATZ_HYPERPARAMS = {
     "eta_points": float(ETA_POINTS),
     "p_points": float(P_POINTS),
-    "nm_xatol": NM_XATOL,
-    "nm_fatol": NM_FATOL,
+    "eta_xatol": ETA_XATOL,
 }
 
 # glibc's malloc raises its mmap threshold to the size of the largest
@@ -242,11 +239,11 @@ def _symmetric_prior_rates(probs: np.ndarray | list, ps: np.ndarray | float):
 
     The mixture of each outcome is (P_a p + P_c (1 - 2p)) + P_b p, the letter
     entropies are weighted in the same order, and -x log2 x is summed over
-    the outcomes in order (see _symmetric_rate_from_terms).  The pinned
-    symmetric-family values depend on this order: any other rounds
-    differently in the last bit, which moves the Nelder-Mead paths.  A list
-    of (outcome, letter) rows and a float p take the float path,
-    _symmetric_prior_rate.
+    the outcomes in order (see _symmetric_rate_from_terms).  This order makes
+    the rates equal, bit for bit, to those of the general kernel,
+    capacities.mutual_information, on the same priors; any other rounds
+    differently in the last bit.  A list of (outcome, letter) rows and a
+    float p take the float path, _symmetric_prior_rate.
     """
     if isinstance(probs, list) and isinstance(ps, float):
         return _symmetric_prior_rate(probs, float(ps))
@@ -261,39 +258,53 @@ def _symmetric_prior_rates(probs: np.ndarray | list, ps: np.ndarray | float):
     return _symmetric_rate_from_terms(mixture_terms, _xlog2x(by_letter), ps, qs)
 
 
-def _symmetric_prior_slope(rows, p: float) -> float:
-    """Twice the slope in p of _symmetric_prior_rate(rows, p), in Python
-    floats: the sum over the (outcome, letter) rows (a, b, c) of
-    a log2 a + b log2 b - 2 c log2 c - d log2 m, with d = a + b - 2c and the
-    mixture m = (a + b) p + c (1 - 2p).  The 1/ln 2 of the derivative drops
-    out because the d sum to zero.  A zero m with d != 0 at p = 0 or 0.5
-    makes the slope infinite, with the sign of d; between them m is zero
-    only by underflow, and the row's term, below 1e-300, is left out."""
-    slope = 0.0
+def _symmetric_prior_slope(rows, p: float) -> tuple[float, float]:
+    """Twice the slope and twice the curvature in p of
+    _symmetric_prior_rate(rows, p), in Python floats: the sums over the
+    (outcome, letter) rows (a, b, c) of a log2 a + b log2 b - 2 c log2 c
+    - d log2 m and of -d^2 / (m ln 2), with d = a + b - 2c and the mixture
+    m = (a + b) p + c (1 - 2p); the slope's 1/ln 2 term drops out because
+    the d sum to zero.  A zero m with d != 0 at p = 0 or 0.5 makes the slope
+    infinite, with the sign of d; between them m is zero only by underflow,
+    and the row's terms, the slope's below 1e-300, are left out."""
+    slope = curvature = 0.0
     for a, b, c in rows:
         slope += sum(w * x * math.log2(x) for x, w in ((a, 1.0), (b, 1.0), (c, -2.0)) if x)
         d, m = a + b - 2.0 * c, (a + b) * p + c * (1.0 - 2.0 * p)
         if d and m:
             slope -= d * math.log2(m)
+            curvature -= d * d / (m * LN2)
         elif d and p in (0.0, 0.5):
             slope += math.copysign(math.inf, d)
-    return slope
+    return slope, curvature
 
 
-def _symmetric_prior_argmax(rows) -> tuple[float, int]:
+def _symmetric_prior_argmax(rows, start: float) -> tuple[float, int]:
     """The prior p in [0, 0.5] that maximizes _symmetric_prior_rate(rows, p),
     and the number of slope evaluations taken.  The rate is concave in the
     prior at a fixed measurement (Gallager 1968, sec. 4.5) and (p, p, 1 - 2p)
     is affine in p, so the slope falls with p: p is 0.5 if the slope there is
-    >= 0, and otherwise bisection of [0, 0.5], until the midpoint is an
-    endpoint, finds the last float with a slope >= 0 (or 0)."""
-    if _symmetric_prior_slope(rows, 0.5) >= 0.0:
+    >= 0.  Otherwise Newton steps on the slope, from start (from 0.25 if start
+    is not inside (0, 0.5)), run inside the bracket [lo, hi] of the last
+    points with slope >= 0 and < 0, and bisect it when a step leaves it.  The
+    search stops at the point that its own Newton step leaves unchanged, or,
+    when the bracket can no longer be bisected, at its lower end."""
+    if _symmetric_prior_slope(rows, 0.5)[0] >= 0.0:
         return 0.5, 1
     lo, hi, evals = 0.0, 0.5, 1
-    while lo < (mid := (lo + hi) / 2.0) < hi:
+    p = start if lo < start < hi else 0.25
+    while True:
         evals += 1
-        lo, hi = (mid, hi) if _symmetric_prior_slope(rows, mid) >= 0.0 else (lo, mid)
-    return lo, evals
+        slope, curvature = _symmetric_prior_slope(rows, p)
+        step = p - slope / curvature if curvature else math.nan  # zero: linear in p, bisect
+        if step == p:  # before the bracket, which now ends at p
+            return p, evals
+        lo, hi = (p, hi) if slope >= 0.0 else (lo, p)
+        if not lo < step < hi:
+            step = (lo + hi) / 2.0
+            if not lo < step < hi:
+                return lo, evals
+        p = step
 
 
 def _check_open_range(gamma: Angle) -> float:
@@ -302,99 +313,21 @@ def _check_open_range(gamma: Angle) -> float:
     return gamma.radians
 
 
-class _SimplexResult(NamedTuple):
-    """The fields of scipy's OptimizeResult that _grid_then_refine reads."""
-
-    x: tuple[float, float]
-    fun: float
-    nfev: int
-    nit: int
-    success: bool
-
-
-_FIRST = operator.itemgetter(0)
-
-
-def _nelder_mead_2d(fun: Callable[[float, float], float], start: tuple[float, float],
-                    bounds: tuple[tuple[float, float], tuple[float, float]]) -> _SimplexResult:
-    """Minimize fun(x, y) over the box bounds = ((lo_x, hi_x), (lo_y, hi_y))
-    by Nelder-Mead from start, in Python floats.
-
-    A port of scipy's bounded Nelder-Mead (scipy.optimize.minimize with
-    method="Nelder-Mead", bounds and the options xatol=NM_XATOL,
-    fatol=NM_FATOL and maxiter=NM_MAXITER, as of scipy 1.17) that rounds
-    every step as scipy does, so that its points, and so x, fun, nfev, nit
-    and success, are scipy's bit for bit:
-    - the coefficients are rho = 1, chi = 2, psi = 0.5 and sigma = 0.5;
-    - the initial simplex scales each coordinate of start by 1.05 in turn (0
-      becomes 0.00025), reflects any coordinate above its upper bound back
-      below it, and clips;
-    - every point is clipped as np.clip does, maximum with the lower bound
-      and then minimum with the upper one;
-    - the vertices are reordered by a stable sort, as np.argsort orders
-      three values.
-    """
-    (lo_x, hi_x), (lo_y, hi_y) = bounds
-    xatol, fatol, maxiter = NM_XATOL, NM_FATOL, NM_MAXITER
-    nfev = 0
-
-    def clipped(x: float, y: float) -> tuple[float, float]:
-        x = x if x > lo_x else lo_x
-        y = y if y > lo_y else lo_y
-        return (x if x < hi_x else hi_x), (y if y < hi_y else hi_y)
-
-    def vertex(x: float, y: float) -> tuple[float, float, float]:
-        nonlocal nfev
-        nfev += 1
-        x, y = clipped(x, y)
-        return fun(x, y), x, y
-
-    x, y = clipped(*start)
-    starts = [(x, y), ((1 + 0.05) * x if x != 0 else 0.00025, y),
-              (x, (1 + 0.05) * y if y != 0 else 0.00025)]
-    simplex = sorted((vertex(2 * hi_x - sx if sx > hi_x else sx, 2 * hi_y - sy if sy > hi_y else sy)
-                      for sx, sy in starts), key=_FIRST)
-    nit = 1
-    while nit < maxiter:
-        (f0, x0, y0), (f1, x1, y1), (f2, x2, y2) = simplex
-        if (max(abs(x1 - x0), abs(y1 - y0), abs(x2 - x0), abs(y2 - y0)) <= xatol
-                and max(abs(f0 - f1), abs(f0 - f2)) <= fatol):
-            break
-        x_bar, y_bar = (x0 + x1) / 2, (y0 + y1) / 2
-        reflected = vertex(2 * x_bar - x2, 2 * y_bar - y2)
-        if reflected[0] < f0:
-            expanded = vertex(3 * x_bar - 2 * x2, 3 * y_bar - 2 * y2)
-            simplex[2] = expanded if expanded[0] < reflected[0] else reflected
-        elif reflected[0] < f1:
-            simplex[2] = reflected
-        else:
-            if reflected[0] < f2:
-                contracted = vertex(1.5 * x_bar - 0.5 * x2, 1.5 * y_bar - 0.5 * y2)
-                accept = contracted[0] <= reflected[0]
-            else:
-                contracted = vertex(0.5 * x_bar + 0.5 * x2, 0.5 * y_bar + 0.5 * y2)
-                accept = contracted[0] < f2
-            if accept:
-                simplex[2] = contracted
-            else:  # shrink towards the best vertex
-                simplex[1:] = [vertex(x0 + 0.5 * (xj - x0), y0 + 0.5 * (yj - y0))
-                               for _, xj, yj in simplex[1:]]
-        nit += 1
-        simplex.sort(key=_FIRST)
-    f0, x, y = simplex[0]
-    return _SimplexResult(x=(x, y), fun=f0, nfev=nfev, nit=nit, success=nit < maxiter)
-
-
 def _grid_then_refine(conditional_probs_at: Callable[[float], Callable],
                       gamma: Angle) -> RateResult:
     """Maximize the symmetric-family rate over (eta, p), from the
     etas -> P[eta..., outcome, letter] function that
     conditional_probs_at(gamma_rad) builds once per angle.
 
-    Coarse (eta, p) grid followed by Nelder-Mead refinement from the best
-    cell, bounded to its neighborhood, which evaluates float (eta, p).  Exact
-    grid ties resolve to the smallest eta, then smallest p (row-major argmax
-    order).
+    A coarse (eta, p) grid picks the best cell (exact ties: the smallest eta,
+    then the smallest p, the row-major argmax order).  A golden-section
+    search (Kiefer 1953), each new point the mirror of the kept one, then
+    maximizes R(eta) = rate(eta, p*(eta)) over two eta cells on either side,
+    with p* from _symmetric_prior_argmax warm-started at the previous
+    point's p (the first at the cell's).  It stops when its inner points are
+    ETA_XATOL apart and reports the best point evaluated, the later of equal
+    ones; converged is False when the bracket still holds an end of the box.
+    iterations counts the grid cells, float rates and slope evaluations.
     """
     conditional_probs = conditional_probs_at(_check_open_range(gamma))
     etas = np.linspace(0.0, math.pi, ETA_POINTS, endpoint=False)
@@ -402,20 +335,36 @@ def _grid_then_refine(conditional_probs_at: Callable[[float], Callable],
     grid = _symmetric_prior_rates(conditional_probs(etas), ps)
     gi, pi = np.unravel_index(int(np.argmax(grid)), grid.shape)
     d_eta = math.pi / ETA_POINTS
-    d_p = 0.5 / (P_POINTS - 1)
-    bounds = (
-        (float(etas[gi] - 2.0 * d_eta), float(etas[gi] + 2.0 * d_eta)),
-        (float(max(0.0, ps[pi] - 2.0 * d_p)), float(min(0.5, ps[pi] + 2.0 * d_p))),
-    )
+    box = (float(etas[gi] - 2.0 * d_eta), float(etas[gi] + 2.0 * d_eta))
+    p = float(ps[pi])
+    evaluated = []  # (rate, eta, p, slope evaluations)
 
-    result = _nelder_mead_2d(lambda eta, p: -_symmetric_prior_rates(conditional_probs(eta), p),
-                             (float(etas[gi]), float(ps[pi])), bounds)
-    best = max(-result.fun, float(grid[gi, pi]))
+    def profile(eta: float) -> float:
+        nonlocal p
+        rows = conditional_probs(eta)
+        p, slope_evals = _symmetric_prior_argmax(rows, p)
+        evaluated.append((_symmetric_prior_rates(rows, p), eta, p, slope_evals))
+        return evaluated[-1][0]
+
+    lo, hi = box
+    golden = (math.sqrt(5.0) - 1.0) / 2.0 * (hi - lo)
+    left, right = hi - golden, lo + golden
+    f_left, f_right = profile(left), profile(right)
+    while right - left > ETA_XATOL:
+        if f_left >= f_right:  # the maximum lies in [lo, right]
+            hi, right, f_right = right, left, f_left
+            left = lo + hi - right
+            f_left = profile(left)
+        else:
+            lo, left, f_left = left, right, f_right
+            right = lo + hi - left
+            f_right = profile(right)
+    best, eta, p, _ = max(reversed(evaluated), key=operator.itemgetter(0))  # ties: the later point
     return RateResult(
         bits_per_transmission=best,
-        params={"eta": result.x[0] % math.pi, "p": result.x[1]},
-        iterations=grid.size + result.nfev,
-        converged=result.success,
+        params={"eta": eta % math.pi, "p": p},
+        iterations=grid.size + sum(1 + slope_evals for *_, slope_evals in evaluated),
+        converged=box[0] < lo and hi < box[1],
         hyperparams=dict(ANSATZ_HYPERPARAMS),
     )
 
@@ -423,8 +372,9 @@ def _grid_then_refine(conditional_probs_at: Callable[[float], Callable],
 def optimize_r2(gamma: Angle) -> RateResult:
     """Best symmetric-family rate at the given overlap angle.
 
-    A dense (eta, p) grid, then Nelder-Mead from the best cell (see
-    _grid_then_refine); deterministic.
+    A dense (eta, p) grid, then a golden-section search in eta with the
+    prior solved exactly at each point (see _grid_then_refine);
+    deterministic.
     """
     return _grid_then_refine(_ideal_conditional_probs, gamma)
 

@@ -21,8 +21,8 @@ from superadd.coherent import (
     two_shot_coherent_alphabet,
 )
 from superadd.statespace import Angle, MeasurementBasis
-from superadd.twoshot import (_ansatz_ensemble, _ideal_conditional_probs, _symmetric_prior_rates,
-                              ansatz_basis, ansatz_rows, optimize_r2)
+from superadd.twoshot import (_ansatz_ensemble, _ideal_conditional_probs, _symmetric_prior_argmax,
+                              _symmetric_prior_rates, ansatz_basis, ansatz_rows, optimize_r2)
 
 
 def deg(d):
@@ -172,7 +172,7 @@ class TestTruncatedRate:
         assert reused > 0
 
     def test_letters_built_once_per_optimization(self, monkeypatch):
-        # not once per Nelder-Mead point or prior slope evaluation
+        # not once per point of the eta search or prior slope evaluation
         calls = Counter()
 
         def counting(name, fn):
@@ -233,9 +233,9 @@ class TestTruncatedRate:
         p=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
     )
     def test_float_call_equals_one_element_call(self, gamma_deg, eta, p):
-        # both optimizers evaluate their points with floats; the values, and
-        # so the search paths, must be those of the one-element arrays bit for
-        # bit, on the grid's own etas too
+        # both optimizers' eta searches call with floats what their grids
+        # call with arrays: the values must be the one-element arrays' bit
+        # for bit, on the grid's own etas too
         gamma_rad = math.radians(gamma_deg)
         conditional_probs = _trunc_conditional_probs(gamma_rad)
         probs = conditional_probs(np.array([eta]))
@@ -303,6 +303,36 @@ def test_reused_prior_search_reaches_the_p_grid(gamma_deg):
     assert all(exact >= exact_prior_rate(rows, p) for p in ps.tolist())
 
 
+# the angles over 0.3-89.7 deg where the best grid cell has p = 0.4: three for
+# r2 (47.5-48.4 deg) and three for r2trunc (73.5-74.4 deg)
+GRID_P_ANGLES = np.linspace(0.3, 89.7, 200)[[105, 106, 107, 163, 164, 165]].tolist()
+SYMMETRIC_OPTIMIZERS = [(_ideal_conditional_probs, optimize_r2),
+                        (_trunc_conditional_probs, optimize_r2_truncated)]
+
+
+@pytest.mark.parametrize("gamma_deg", [d for d in PARAMS_ANGLES if d >= 0.05] + GRID_P_ANGLES)
+def test_symmetric_optimizers_report_the_exact_prior(gamma_deg):
+    # p is p*(eta) at the reported eta, as a cold prior search finds it (the
+    # two agree to 6e-17 at these angles).  Below 0.05 deg the slope's sign
+    # is rounding noise.
+    g = deg(gamma_deg)
+    for conditional_probs_at, optimize in SYMMETRIC_OPTIMIZERS:
+        result = optimize(g)
+        rows = conditional_probs_at(g.radians)(result.params["eta"])
+        assert abs(result.params["p"] - _symmetric_prior_argmax(rows, 0.25)[0]) <= 1e-9
+
+
+@pytest.mark.parametrize("gamma_deg", [0.2, 0.1, 0.05])
+def test_small_angle_gain_is_found(gamma_deg):
+    # r2/c1 tends to 1.02818 at p* = 0.4695, between two p grid values.  The
+    # optimal eta is pi/2 - 0.756 gamma, on a ridge about gamma wide, which
+    # the eta grid stops resolving at about 0.02 deg
+    for _, optimize in SYMMETRIC_OPTIMIZERS:
+        result = optimize(deg(gamma_deg))
+        assert 1.027 <= result.bits_per_transmission / c1(deg(gamma_deg)) <= 1.029
+        assert result.params["p"] not in np.linspace(0.0, 0.5, 101).tolist()
+
+
 @pytest.mark.parametrize("gamma_deg", PARAMS_ANGLES)
 def test_params_reproduce_value(gamma_deg):
     # each optimizer's value is its rate at the params it reports, exactly
@@ -317,8 +347,8 @@ def test_params_reproduce_value(gamma_deg):
 
 
 # Optimizer values at fixed angles, so that a refactor of the grid searches
-# cannot move them unnoticed; the reused variant fixes eta only to
-# Nelder-Mead's xatol, hence its looser tolerance.
+# cannot move them unnoticed; the reused variant takes the ideal family's eta,
+# which the eta search fixes only to its ETA_XATOL, hence its looser tolerance.
 PINNED_RATES = [
     (0.5, 5.6479843673573615e-05, 5.6479656941332834e-05, 5.647965693500456e-05),
     (5.0, 0.0056295759142133694, 0.005627695684001677, 0.005627689641106326),

@@ -1,12 +1,12 @@
 import functools
 import math
-from collections import defaultdict
+from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.optimize import minimize
 
 from superadd.capacities import (Ensemble, c1, c_infinity, measured_mutual_information,
                                  mutual_information)
@@ -17,16 +17,13 @@ from superadd.statespace import Angle, MeasurementBasis, two_shot_alphabet
 from superadd import twoshot
 from superadd.twoshot import (
     ETA_POINTS,
-    NM_FATOL,
-    NM_MAXITER,
-    NM_XATOL,
     P_POINTS,
     _ansatz_ensemble,
     _general_rates,
     _givens_product,
+    _grid_then_refine,
     _ideal_conditional_probs,
     _letters_matrix,
-    _nelder_mead_2d,
     _rate_and_gradient,
     _rotation_angles,
     _symmetric_prior_argmax,
@@ -167,9 +164,9 @@ class TestRateFunctional:
         p=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
     )
     def test_float_call_equals_one_element_call(self, gamma_deg, eta, p):
-        # Nelder-Mead points call the grid with floats; the values, and so
-        # the search paths, must be those of the 1 x 1 grid bit for bit.  The
-        # grid's own etas include eta = 0, where some probabilities are zero.
+        # the eta search calls with floats what the grid calls with arrays:
+        # both must rate the same function, bit for bit.  The grid's own
+        # etas include eta = 0, where some probabilities are zero.
         conditional_probs = _ideal_conditional_probs(math.radians(gamma_deg))
         one_cell = _symmetric_prior_rates(conditional_probs(np.array([eta])), np.array([p]))
         assert one_cell.shape == (1, 1)
@@ -203,74 +200,51 @@ class TestOptimizeR2:
     def test_result_metadata(self):
         result = optimize_r2(deg(12))
         assert result.converged
-        assert result.iterations > 240 * 101
-        assert result.hyperparams["eta_points"] == 240.0
+        assert result.hyperparams == {"eta_points": 240.0, "p_points": 101.0, "eta_xatol": 1e-8}
+
+    @pytest.mark.parametrize("optimize", [optimize_r2, optimize_r2_truncated])
+    def test_iterations_count_every_evaluation(self, optimize, monkeypatch):
+        # the grid's cells (one rate call), then one float rate and the prior
+        # search's slope evaluations at each point of the eta search
+        calls = Counter()
+        for name in ("_symmetric_prior_rates", "_symmetric_prior_slope"):
+            monkeypatch.setattr(twoshot, name, lambda *args, fn=getattr(twoshot, name):
+                                calls.update([fn]) or fn(*args))
+        result = optimize(deg(12))
+        assert result.iterations == ETA_POINTS * P_POINTS - 1 + sum(calls.values())
+
+    def test_not_converged_when_the_maximum_leaves_the_box(self):
+        # the search's float etas see the profile shifted by 0.2 rad, so its
+        # maximum lies below the box of two cells around the grid's best one
+        def shifted_at(gamma_rad):
+            conditional_probs = _ideal_conditional_probs(gamma_rad)
+            return lambda etas: conditional_probs(etas + 0.2 if isinstance(etas, float) else etas)
+
+        assert _grid_then_refine(_ideal_conditional_probs, deg(12)).converged
+        assert not _grid_then_refine(shifted_at, deg(12)).converged
 
     def test_domain(self):
         with pytest.raises(ValueError):
             optimize_r2(deg(90))
 
 
-def scipy_nelder_mead(fun, start, bounds, xatol=NM_XATOL, fatol=NM_FATOL, maxiter=NM_MAXITER):
-    """scipy's bounded Nelder-Mead on fun(x, y), the reference of the float
-    port, as (x, fun, nfev, nit, success)."""
-    result = minimize(lambda x: fun(float(x[0]), float(x[1])), np.array(start),
-                      method="Nelder-Mead", bounds=bounds,
-                      options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})
-    return tuple(result.x.tolist()), float(result.fun), result.nfev, result.nit, bool(result.success)
-
-
-class TestNelderMead2D:
-    # the reprs of Python floats round-trip and tell -0.0 from 0.0, so equal
-    # reprs are equal bits
-
-    def test_equals_scipy_on_both_families(self, monkeypatch):
-        # the p bound 0.5 clips vertices at 0.01 and 1e-3 deg, where the
-        # objective also takes equal values at distinct points
-        runs = []
-
-        def checked(fun, start, bounds):
-            points = defaultdict(set)
-
-            def recording(x, y):
-                value = fun(x, y)
-                points[value].add((x, y))
-                return value
-
-            ours = _nelder_mead_2d(recording, start, bounds)
-            runs.append((repr(tuple(ours)), repr(scipy_nelder_mead(fun, start, bounds)),
-                         any(len(at) > 1 for at in points.values())))
-            return ours
-
-        monkeypatch.setattr(twoshot, "_nelder_mead_2d", checked)
-        angles = [1e-3, 0.01, 0.05, 0.2, 1.0, 5.0, 12.0, 17.1, 18.7, 30.0, 45.0, 60.0, 80.0, 89.9]
-        for gamma_deg in angles:
-            optimize_r2(deg(gamma_deg))
-            optimize_r2_truncated(deg(gamma_deg))
-        assert len(runs) == 2 * len(angles)
-        for ours, reference, _ in runs:
-            assert ours == reference
-        assert all(tied for _, _, tied in runs[:4])
-
-    @pytest.mark.parametrize("start, bounds, maxiter", [
-        ((0.3, 0.2), ((0.0, 1.0), (0.0, 1.0)), NM_MAXITER),
-        ((0.0, 0.5), ((-0.5, 0.5), (0.25, 0.5)), NM_MAXITER),  # zero start, upper bound
-        ((0.9, 0.7), ((0.5, 1.0), (0.6, 0.72)), 25),  # stopped by maxiter
-    ])
-    def test_equals_scipy_with_exact_ties(self, start, bounds, maxiter, monkeypatch):
-        # piecewise-constant objectives: whole cells share one value, so the
-        # vertex order rests on the stable sort
-        monkeypatch.setattr(twoshot, "NM_MAXITER", maxiter)
-        objectives = [
-            lambda x, y: float(math.floor(8 * x) + math.floor(8 * y)),
-            lambda x, y: math.floor(16 * x) / 16 + (y - 0.3) ** 2,
-            lambda x, y: 0.0,
-            lambda x, y: (x - 0.3) ** 2 + 10 * (y - x * x) ** 2,  # smooth, no ties
-        ]
-        for fun in objectives:
-            ours = _nelder_mead_2d(fun, start, bounds)
-            assert repr(tuple(ours)) == repr(scipy_nelder_mead(fun, start, bounds, maxiter=maxiter))
-            assert ours.success == (ours.nit < maxiter)
+def assert_prior_is_the_argmax(rows, p):
+    """p is 0.5 with a slope >= 0 there, or the 40-digit slope at p is zero
+    to within the float slope's rounding: 16 eps times the sizes of its
+    terms, counting (a + b + 2c) (|log2 m| + 2) for d log2 m, whose d and m
+    round.  At 1e-3 deg that admits p about 3e-8 from the exact root."""
+    if p == 0.5:
+        assert _symmetric_prior_slope(rows, p)[0] >= 0.0
+        return
+    with mpmath.workdps(40):
+        xlog2x = lambda x: x * mpmath.log(x, 2) if x else 0  # noqa: E731
+        exact = size = 0
+        for a, b, c in (map(mpmath.mpf, row) for row in rows):
+            log2m = mpmath.log((a + b) * p + c * (1 - 2 * mpmath.mpf(p)), 2)
+            exact += xlog2x(a) + xlog2x(b) - 2 * xlog2x(c) - (a + b - 2 * c) * log2m
+            size += (abs(xlog2x(a)) + abs(xlog2x(b)) + 2 * abs(xlog2x(c))
+                     + (a + b + 2 * c) * (abs(log2m) + 2))
+        assert abs(exact) <= 16 * 2.0**-52 * size
 
 
 class TestSymmetricPriorSearch:
@@ -283,31 +257,38 @@ class TestSymmetricPriorSearch:
     # a first row (sin^2 gamma, 0, 0) whose mixture underflows to 0 inside (0, 0.5)
     @example(gamma=2e-162, eta=0.0, p=0.25, conditional_probs_at=_ideal_conditional_probs)
     def test_slope_is_the_rate_derivative(self, gamma, eta, p, conditional_probs_at):
+        # and the curvature is the slope's derivative
         rows, h = conditional_probs_at(gamma)(eta), 1e-7
         central = (_symmetric_prior_rates(rows, p + h) - _symmetric_prior_rates(rows, p - h)) / h
-        assert _symmetric_prior_slope(rows, p) == pytest.approx(central, rel=1e-6, abs=1e-8)
+        slope, curvature = _symmetric_prior_slope(rows, p)
+        assert slope == pytest.approx(central, rel=1e-6, abs=1e-8)
+        (up, _), (down, _) = _symmetric_prior_slope(rows, p + h), _symmetric_prior_slope(rows, p - h)
+        assert curvature == pytest.approx((up - down) / (2 * h), rel=1e-6, abs=1e-6)
 
     def test_zero_mixture_makes_the_slope_infinite(self):
         # the third outcome never fires for c, the fourth only for c: their
         # mixtures vanish at p = 0 and p = 0.5
         rows = [(0.5, 0.0, 0.25), (0.0, 0.5, 0.25), (0.5, 0.5, 0.0), (0.0, 0.0, 0.5)]
-        assert (_symmetric_prior_slope(rows, 0.0), _symmetric_prior_slope(rows, 0.5)) == (math.inf, -math.inf)
-        p, _ = _symmetric_prior_argmax(rows)
-        assert 0.0 < p < 0.5
-        assert _symmetric_prior_slope(rows, p) >= 0.0 > _symmetric_prior_slope(rows, math.nextafter(p, 1.0))
+        assert [_symmetric_prior_slope(rows, p)[0] for p in (0.0, 0.5)] == [math.inf, -math.inf]
+        for start in (0.0, 0.1, 0.25, 0.4, 0.5):
+            p, _ = _symmetric_prior_argmax(rows, start)
+            assert 0.0 < p < 0.5
+            assert_prior_is_the_argmax(rows, p)
 
     @pytest.mark.parametrize("gamma_deg", PARAMS_ANGLES)
     def test_argmax_sits_on_the_slope_sign_change(self, gamma_deg):
-        # the reused prior search: p = 0.5 with the rate rising there, or the
-        # last float before the slope turns negative
+        # the reused prior search, warm-started from the ideal family's p,
+        # ends on the exact slope's sign change, to the float slope's rounding
         g = deg(gamma_deg)
         ideal = optimize_r2(g)
         rows = _trunc_conditional_probs(g.radians)(ideal.params["eta"])
-        p, evals = _symmetric_prior_argmax(rows)
+        p, evals = _symmetric_prior_argmax(rows, ideal.params["p"])
         result = optimize_r2_truncated_reused(g, ideal=ideal)
         assert (result.params["p"], result.iterations) == (p, evals + ideal.iterations)
-        assert _symmetric_prior_slope(rows, p) >= 0.0
-        assert p == 0.5 or _symmetric_prior_slope(rows, math.nextafter(p, 1.0)) < 0.0
+        assert_prior_is_the_argmax(rows, p)
+        # Newton's quadratic steps: a slow or stalled one would bisect for
+        # about 50.  Below 0.05 deg the slope's sign is rounding noise.
+        assert evals <= (1 if p == 0.5 else 9 if gamma_deg >= 0.05 else 30)
 
 
 class TestRotationParams:
