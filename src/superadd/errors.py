@@ -6,4 +6,5 @@ class CompletenessError(ValueError):
 
 
 class BracketingError(RuntimeError):
-    """A sign-change bracket required by bisection does not exist."""
+    """The crossover search has no sign-change bracket of rate - c1 to keep:
+    the same sign at both ends, or a NaN value."""

@@ -226,11 +226,15 @@ def _symmetric_rate_from_terms(mixture_terms, letter_terms, p, q):
 def _symmetric_prior_rate(rows, p: float) -> float:
     """One rate, in Python floats, from the rows (P_a, P_b, P_c) of each
     outcome at prior p; one np.log2 call takes every logarithm, because
-    math.log2 rounds differently from it."""
+    math.log2 rounds differently from it.  Zeros take the logarithm of 1.0,
+    so their x log2 x terms are 0.0, as in capacities._xlog2x."""
     q = 1.0 - 2.0 * p
-    with_mixture = [(a, b, c, _prior_weighted(a, b, c, p, q)) for a, b, c in rows]
-    *letter_terms, mixture_terms = _xlog2x(np.array(with_mixture)).T.tolist()
-    return _symmetric_rate_from_terms(mixture_terms, letter_terms, p, q)
+    flat = []  # a, b, c and the mixture of each outcome in turn
+    for a, b, c in rows:
+        flat += (a, b, c, _prior_weighted(a, b, c, p, q))
+    logs = np.log2(np.array([x if x > 0.0 else 1.0 for x in flat])).tolist()
+    terms = [x * log for x, log in zip(flat, logs)]
+    return _symmetric_rate_from_terms(terms[3::4], (terms[0::4], terms[1::4], terms[2::4]), p, q)
 
 
 def _symmetric_prior_rates(probs: np.ndarray | list, ps: np.ndarray | float):
@@ -269,7 +273,12 @@ def _symmetric_prior_slope(rows, p: float) -> tuple[float, float]:
     and the row's terms, the slope's below 1e-300, are left out."""
     slope = curvature = 0.0
     for a, b, c in rows:
-        slope += sum(w * x * math.log2(x) for x, w in ((a, 1.0), (b, 1.0), (c, -2.0)) if x)
+        row = a * math.log2(a) if a else 0.0  # (a log2 a + b log2 b) + (-2c) log2 c
+        if b:
+            row += b * math.log2(b)
+        if c:
+            row += -2.0 * c * math.log2(c)
+        slope += row
         d, m = a + b - 2.0 * c, (a + b) * p + c * (1.0 - 2.0 * p)
         if d and m:
             slope -= d * math.log2(m)
@@ -288,7 +297,10 @@ def _symmetric_prior_argmax(rows, start: float) -> tuple[float, int]:
     is not inside (0, 0.5)), run inside the bracket [lo, hi] of the last
     points with slope >= 0 and < 0, and bisect it when a step leaves it.  The
     search stops at the point that its own Newton step leaves unchanged, or,
-    when the bracket can no longer be bisected, at its lower end."""
+    when the bracket can no longer be bisected or is to be bisected with hi
+    at or below math.ulp(0.5), at its lower end: priors that small move the
+    rate by less than its rounding, and bisecting on would halve hi down
+    through the subnormals."""
     if _symmetric_prior_slope(rows, 0.5)[0] >= 0.0:
         return 0.5, 1
     lo, hi, evals = 0.0, 0.5, 1
@@ -302,7 +314,7 @@ def _symmetric_prior_argmax(rows, start: float) -> tuple[float, int]:
         lo, hi = (p, hi) if slope >= 0.0 else (lo, p)
         if not lo < step < hi:
             step = (lo + hi) / 2.0
-            if not lo < step < hi:
+            if not lo < step < hi or hi <= math.ulp(0.5):
                 return lo, evals
         p = step
 
@@ -579,28 +591,54 @@ def optimize_general(gamma: Angle, seed: int, ideal: RateResult | None = None) -
     )
 
 
-CROSSOVER_TOLERANCE_DEG = 0.01  # bracket width at which bisection stops
+CROSSOVER_TOLERANCE_DEG = 1e-3  # bracket width at which the root search stops
 
 
 def crossover_angle(rate_fn: Callable[[Angle], float], lo: Angle, hi: Angle) -> Angle:
-    """Angle where rate_fn crosses the one-shot capacity, by bisection.
+    """Angle where rate_fn crosses the one-shot capacity: the midpoint of a
+    bracket of the root of rate - c1 at most CROSSOVER_TOLERANCE_DEG wide, or
+    an evaluated angle where rate - c1 is exactly 0.
 
-    Requires rate_fn - c1 to change sign between lo and hi.
+    Requires rate - c1 to change sign between lo and hi.  False position
+    with the Illinois modification (Dowell and Jarratt 1971) keeps a
+    sign-change bracket: each new point is where the chord between the ends
+    crosses zero, and when the same end is kept twice in a row its value is
+    halved for the next chord, so that the other end moves too.  A chord
+    point that is not strictly inside the bracket is replaced by the
+    midpoint.  A NaN gap raises BracketingError.
     """
+    def gap(angle: Angle) -> float:
+        value = rate_fn(angle) - c1(angle)
+        if math.isnan(value):
+            raise BracketingError(f"rate - c1 is NaN at {angle.degrees:g} deg")
+        return value
+
     lo_deg, hi_deg = lo.degrees, hi.degrees
-    f_lo = rate_fn(lo) - c1(lo)
-    f_hi = rate_fn(hi) - c1(hi)
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
+    f_lo, f_hi = gap(lo), gap(hi)
+    if f_lo == 0.0 or f_hi == 0.0:
+        return lo if f_lo == 0.0 else hi
+    if (f_lo > 0.0) == (f_hi > 0.0):
         raise BracketingError(
             f"rate - c1 has the same sign at both ends: rate-c1 at {lo_deg:g} deg: "
             f"{f_lo:.6e}, rate-c1 at {hi_deg:g} deg: {f_hi:.6e}"
         )
+    kept = None  # the end that the last step kept
     while hi_deg - lo_deg > CROSSOVER_TOLERANCE_DEG:
-        mid_deg = 0.5 * (lo_deg + hi_deg)
+        mid_deg = (lo_deg * f_hi - hi_deg * f_lo) / (f_hi - f_lo)
+        if not lo_deg < mid_deg < hi_deg:
+            mid_deg = 0.5 * (lo_deg + hi_deg)
         mid = Angle.from_degrees(mid_deg)
-        f_mid = rate_fn(mid) - c1(mid)
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
+        f_mid = gap(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
             lo_deg, f_lo = mid_deg, f_mid
+            if kept == "hi":
+                f_hi /= 2.0
+            kept = "hi"
         else:
-            hi_deg = mid_deg
+            hi_deg, f_hi = mid_deg, f_mid
+            if kept == "lo":
+                f_lo /= 2.0
+            kept = "lo"
     return Angle.from_degrees(0.5 * (lo_deg + hi_deg))

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from superadd.capacities import (Ensemble, c1, c_infinity, measured_mutual_information,
                                  mutual_information)
+from superadd.cli import CROSSOVER_SETUPS
 from superadd.coherent import (_trunc_conditional_probs, optimize_r2_truncated,
                                optimize_r2_truncated_reused)
 from superadd.errors import BracketingError
 from superadd.statespace import Angle, MeasurementBasis, two_shot_alphabet
 from superadd import twoshot
 from superadd.twoshot import (
+    CROSSOVER_TOLERANCE_DEG,
     ETA_POINTS,
     P_POINTS,
     _ansatz_ensemble,
@@ -38,6 +40,14 @@ from test_coherent import PARAMS_ANGLES
 
 
 GRID_ETAS = np.linspace(0.0, math.pi, ETA_POINTS, endpoint=False).tolist()
+# (outcome, letter) rows of any size, with exact zeros, as the float path takes them
+probability_rows = st.lists(
+    st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 1.0))] * 3), min_size=1, max_size=5)
+priors = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5))
+
+
+def same_bits(got, want):
+    return list(map(float.hex, got)) == list(map(float.hex, want))
 
 
 def deg(d):
@@ -172,6 +182,12 @@ class TestRateFunctional:
         assert one_cell.shape == (1, 1)
         assert _symmetric_prior_rates(conditional_probs(eta), p) == one_cell[0, 0]
 
+    @given(rows=probability_rows, p=priors)
+    @example(rows=[(0.76, 0.5, 0.45), (0.0, 0.22, 0.42)], p=0.3)
+    def test_float_rate_equals_one_element_array_rate(self, rows, p):
+        one_cell = _symmetric_prior_rates(np.array([rows]), np.array([p]))
+        assert same_bits([_symmetric_prior_rates(rows, p)], [one_cell[0, 0]])
+
     @pytest.mark.parametrize("gamma_deg", [0.05, 0.5, 5, 17, 18.7, 45, 80, 89.9])
     def test_prior_tail_equals_general_kernel_on_full_grids(self, gamma_deg):
         # the written-out tail must round exactly as the general kernel does
@@ -264,6 +280,33 @@ class TestSymmetricPriorSearch:
         assert slope == pytest.approx(central, rel=1e-6, abs=1e-8)
         (up, _), (down, _) = _symmetric_prior_slope(rows, p + h), _symmetric_prior_slope(rows, p - h)
         assert curvature == pytest.approx((up - down) / (2 * h), rel=1e-6, abs=1e-6)
+
+    @given(rows=probability_rows, p=priors)
+    # a row whose sum rounds differently in the other order; Hypothesis's
+    # floats are seldom that generic
+    @example(rows=[(0.76, 0.5, 0.45), (0.0, 0.22, 0.42)], p=0.3)
+    def test_slope_sums_in_the_generator_order(self, rows, p):
+        # the written-out row sum rounds as the generator form it replaced
+        def generator_slope(rows, p):
+            slope = curvature = 0.0
+            for a, b, c in rows:
+                slope += sum(w * x * math.log2(x) for x, w in ((a, 1.0), (b, 1.0), (c, -2.0)) if x)
+                d, m = a + b - 2.0 * c, (a + b) * p + c * (1.0 - 2.0 * p)
+                if d and m:
+                    slope -= d * math.log2(m)
+                    curvature -= d * d / (m * math.log(2.0))
+                elif d and p in (0.0, 0.5):
+                    slope += math.copysign(math.inf, d)
+            return slope, curvature
+
+        assert same_bits(_symmetric_prior_slope(rows, p), generator_slope(rows, p))
+
+    @pytest.mark.parametrize("gamma_rad", [1e-12, 1e-9])
+    def test_no_bisection_into_the_subnormals(self, gamma_rad):
+        # the slope is rounding noise there; bisecting p's bracket down to
+        # the smallest subnormal took about 1,070 slope evaluations per solve
+        # and over 40,000 iterations per call, against about 24,400 elsewhere
+        assert optimize_r2(Angle(gamma_rad)).iterations < 26_000
 
     def test_zero_mixture_makes_the_slope_infinite(self):
         # the third outcome never fires for c, the fourth only for c: their
@@ -463,7 +506,49 @@ class TestCrossoverAngle:
             return c1(gamma) + (crossing - gamma.degrees) * 1e-4
 
         found = crossover_angle(fake_rate, deg(15), deg(25))
-        assert found.degrees == pytest.approx(crossing, abs=0.011)
+        assert found.degrees == pytest.approx(crossing, abs=CROSSOVER_TOLERANCE_DEG)
+
+    @pytest.mark.parametrize("which, root", [("ansatz", 18.69866), ("truncated", 17.12616)])
+    def test_cli_crossovers_in_few_rate_calls(self, which, root):
+        # the roots are those of a 1e-6 deg brentq search; bisection took 12
+        # calls to a 0.01 deg bracket
+        rate_fn, lo, hi = CROSSOVER_SETUPS[which]
+        calls = []
+        found = crossover_angle(lambda g: calls.append(g) or rate_fn(g), deg(lo), deg(hi))
+        assert found.degrees == pytest.approx(root, abs=CROSSOVER_TOLERANCE_DEG)
+        assert len(calls) <= 9
+
+    @pytest.mark.parametrize("k", [1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_strongly_convex_gap_still_closes_the_bracket(self, k, sign):
+        # plain false position keeps the far end forever on such a gap; the
+        # Illinois halving moves it.  Bisection from 10 deg takes 16 calls.
+        calls = []
+
+        def fake_rate(gamma):
+            calls.append(gamma.degrees)
+            assert len(calls) <= 64
+            return c1(gamma) + sign * math.expm1(sign * k * (gamma.degrees - 17.3))
+
+        found = crossover_angle(fake_rate, deg(15), deg(25))
+        assert found.degrees == pytest.approx(17.3, abs=CROSSOVER_TOLERANCE_DEG)
+        below, above = (max(d for d in calls if d <= found.degrees),
+                        min(d for d in calls if d >= found.degrees))
+        assert above - below <= CROSSOVER_TOLERANCE_DEG
+
+    @pytest.mark.parametrize("root_deg", [15.0, 25.0])
+    def test_root_at_an_end_is_returned(self, root_deg):
+        def fake_rate(gamma):
+            return c1(gamma) + (0.0 if gamma == deg(root_deg) else 1e-3)
+
+        assert crossover_angle(fake_rate, deg(15), deg(25)) == deg(root_deg)
+
+    def test_nan_gap_raises(self):
+        def fake_rate(gamma):
+            return math.nan if 15.0 < gamma.degrees < 25.0 else c1(gamma) + 20.0 - gamma.degrees
+
+        with pytest.raises(BracketingError, match=r"NaN at \d"):
+            crossover_angle(fake_rate, deg(15), deg(25))
 
     def test_no_sign_change_raises(self):
         def fake_rate(gamma):
