@@ -30,8 +30,6 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 POINT_CHOICES = ("c1", "cinf", "r2", "r2gen", "r2trunc")
-SWEEP_COLUMNS = ("c1", "cinf", "ratio", "r2", "diff", "r2_over_c1",
-                 "r2trunc", "r2trunc_reused", "r2gen")
 
 CROSSOVER_SETUPS: dict[str, tuple[Callable[[Angle], float], float, float]] = {
     "ansatz": (lambda g: twoshot.optimize_r2(g).bits_per_transmission, 15.0, 25.0),
@@ -39,68 +37,59 @@ CROSSOVER_SETUPS: dict[str, tuple[Callable[[Angle], float], float, float]] = {
 }
 
 
-def _angle(gamma_deg: float, open_interval: bool) -> Angle:
-    if open_interval and not 0.0 < gamma_deg < 90.0:
-        raise ValueError(f"gamma must lie strictly inside (0, 90) deg, got {gamma_deg}")
+def _angle(gamma_deg: float) -> Angle:
+    """gamma_deg, which must lie in [0, 90] deg, as an Angle; the optimizers
+    reject the ends themselves (twoshot._check_open_range)."""
     if not 0.0 <= gamma_deg <= 90.0:
         raise ValueError(f"gamma must lie in [0, 90] deg, got {gamma_deg}")
     return Angle.from_degrees(gamma_deg)
 
 
-# Every quantity at one angle, from (gamma, seed, result): a capacity, or the
-# result of an optimizer; result(name) is the same row's result for another
-# quantity.  The lambdas look functions up at call time, so a replaced module
-# attribute (a monkeypatch, the benchmark's tracer) takes effect.
+# Every column at one angle, in sweep order, from (gamma, seed, result): a
+# capacity, the result of an optimizer, or a value derived from other
+# columns; result(name) is the same row's result for another column.  The
+# lambdas look functions up at call time, so a replaced module attribute (a
+# monkeypatch, the benchmark's tracer) takes effect.
 _Result = float | RateResult
-_QUANTITIES: dict[str, Callable[[Angle, int, Callable[[str], _Result]], _Result]] = {
+_COLUMNS: dict[str, Callable[[Angle, int, Callable[[str], _Result]], _Result]] = {
     "c1": lambda gamma, seed, result: c1(gamma),
     "cinf": lambda gamma, seed, result: c_infinity(gamma),
+    "ratio": lambda gamma, seed, result: _value(result("cinf")) / _value(result("c1")),
     "r2": lambda gamma, seed, result: twoshot.optimize_r2(gamma),
+    "diff": lambda gamma, seed, result: _value(result("r2")) - _value(result("c1")),
+    "r2_over_c1": lambda gamma, seed, result: _value(result("r2")) / _value(result("c1")),
     "r2trunc": lambda gamma, seed, result: coherent.optimize_r2_truncated(gamma),
     "r2trunc_reused": lambda gamma, seed, result: coherent.optimize_r2_truncated_reused(
         gamma, ideal=result("r2")),
     "r2gen": lambda gamma, seed, result: twoshot.optimize_general(gamma, seed=seed,
                                                                   ideal=result("r2")),
 }
-# Sweep columns derived from other columns' values.
-_DERIVED_COLUMNS: dict[str, Callable[[Callable[[str], float]], float]] = {
-    "ratio": lambda column: column("cinf") / column("c1"),
-    "diff": lambda column: column("r2") - column("c1"),
-    "r2_over_c1": lambda column: column("r2") / column("c1"),
-}
+SWEEP_COLUMNS = tuple(_COLUMNS)
 
 
-def _value_and_params(result: _Result) -> tuple[float, dict[str, float]]:
-    if isinstance(result, RateResult):
-        return result.bits_per_transmission, result.params
-    return result, {}
+def _value(result: _Result) -> float:
+    return result.bits_per_transmission if isinstance(result, RateResult) else result
 
 
 def cmd_point(gamma_deg: float, which: str, seed: int = 0) -> int:
     """Print one requested quantity, then the optimizing parameters if any."""
     if which not in POINT_CHOICES:
         raise ValueError(f"unknown quantity {which!r}")
-    gamma = _angle(gamma_deg, open_interval=which not in ("c1", "cinf"))
-    value, params = _value_and_params(_row_result(which, gamma, {}, seed))
-    print(f"{value:.10f}")
+    result = _row_result(which, _angle(gamma_deg), {}, seed)
+    print(f"{_value(result):.10f}")
     if which == "r2gen":
         print("# lower-bound probe over all four-outcome measurements")
-    for name, v in params.items():
-        print(f"{name} = {v:.10g}")
+    if isinstance(result, RateResult):
+        for name, v in result.params.items():
+            print(f"{name} = {v:.10g}")
     return EXIT_OK
 
 
 def _row_result(name: str, gamma: Angle, cache: dict[str, _Result], seed: int) -> _Result:
-    """A quantity's result or a derived column's value at gamma, computed at
-    most once per cache (one sweep row)."""
+    """A column's result at gamma, computed at most once per cache (one sweep row)."""
     if name not in cache:
-        def result(other: str) -> _Result:
-            return _row_result(other, gamma, cache, seed)
-
-        if name in _DERIVED_COLUMNS:
-            cache[name] = _DERIVED_COLUMNS[name](lambda other: _value_and_params(result(other))[0])
-        else:
-            cache[name] = _QUANTITIES[name](gamma, seed, result)
+        cache[name] = _COLUMNS[name](gamma, seed,
+                                    lambda other: _row_result(other, gamma, cache, seed))
     return cache[name]
 
 
@@ -123,13 +112,12 @@ def sweep_table(from_deg: float, to_deg: float, steps: int, columns: Iterable[st
     for deg in grid:
         gamma = Angle.from_degrees(deg)
         cache: dict[str, _Result] = {}
-        rows.append([_value_and_params(_row_result(c, gamma, cache, seed))[0] for c in columns])
+        rows.append([_value(_row_result(c, gamma, cache, seed)) for c in columns])
     data = np.array(rows)
+    settings = " ".join(f"{name}={v:g}" for name, v in twoshot.ANSATZ_HYPERPARAMS.items())
     provenance = (
         f"superadd sweep from={from_deg:g} to={to_deg:g} steps={steps} "
-        f"columns={','.join(columns)} seed={seed} eta_points={twoshot.ETA_POINTS} "
-        f"p_points={twoshot.P_POINTS} eta_xatol={twoshot.ETA_XATOL:g} "
-        f"version={__version__}"
+        f"columns={','.join(columns)} seed={seed} {settings} version={__version__}"
     )
     return SweepTable(
         gamma_deg=grid,
@@ -200,7 +188,7 @@ def cmd_mc(gamma_deg: float, samples: int, seed: int) -> int:
     """Monte Carlo check of the optimal two-shot rate at one angle."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    gamma = _angle(gamma_deg, open_interval=True)
+    gamma = _angle(gamma_deg)
     result = twoshot.optimize_r2(gamma)
     eta, p = result.params["eta"], result.params["p"]
     ensemble = twoshot._ansatz_ensemble(p, two_shot_alphabet(gamma))

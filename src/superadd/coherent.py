@@ -25,7 +25,7 @@ import numpy as np
 from .capacities import RateResult
 from .statespace import Angle, StateVector, _two_shot_letters
 from .twoshot import (ANSATZ_HYPERPARAMS, SQRT2, _check_open_range, _grid_then_refine,
-                      _symmetric_conditional_probs, _symmetric_prior_argmax, _symmetric_prior_rates,
+                      _symmetric_conditional_probs, _symmetric_prior_argmax, _symmetric_prior_rate,
                       optimize_r2)
 
 
@@ -69,13 +69,6 @@ def _photon_row_entries(ce, se, alpha):
     )
 
 
-def _photon_rows(eta: float, alpha: float) -> np.ndarray:
-    """Photon-coordinate rows e1, e2, e3 of the symmetric family: a fresh
-    (vector, photon coordinate) array of _photon_row_entries."""
-    u0, u1, u2, u3, w0, w1, w3 = _photon_row_entries(np.cos(eta), np.sin(eta), alpha)
-    return np.array([(u0, u1, u2, u3), (u0, u2, u1, u3), (w0, w1, w1, w3)])
-
-
 def photon_basis(eta: float, gamma: Angle) -> np.ndarray:
     """Symmetric measurement family expanded in photon-number coordinates:
     rows e1, e2, e3 of amplitudes on |0>+|0>-, |0>+|1>-, |1>+|0>-, |1>+|1>-.
@@ -84,7 +77,9 @@ def photon_basis(eta: float, gamma: Angle) -> np.ndarray:
     order one; the expansion is orthonormal for every (eta, gamma).
     """
     _check_open_range(gamma)
-    return _photon_rows(eta, alpha_from_gamma(gamma))
+    u0, u1, u2, u3, w0, w1, w3 = _photon_row_entries(np.cos(eta), np.sin(eta),
+                                                     alpha_from_gamma(gamma))
+    return np.array([(u0, u1, u2, u3), (u0, u2, u1, u3), (w0, w1, w1, w3)])
 
 
 def two_shot_coherent_alphabet(gamma: Angle) -> tuple[StateVector, StateVector, StateVector, StateVector]:
@@ -154,7 +149,7 @@ def optimize_r2_truncated_reused(gamma: Angle, ideal: RateResult | None = None) 
     probs = _trunc_conditional_probs(g)(eta)  # (outcome, letter)
     p, slope_evals = _symmetric_prior_argmax(probs, ideal.params["p"])
     return RateResult(
-        bits_per_transmission=_symmetric_prior_rates(probs, p),
+        bits_per_transmission=_symmetric_prior_rate(probs, p),
         params={"eta": eta, "p": p},
         iterations=slope_evals + ideal.iterations,
         converged=ideal.converged,

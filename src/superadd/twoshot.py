@@ -237,20 +237,18 @@ def _symmetric_prior_rate(rows, p: float) -> float:
     return _symmetric_rate_from_terms(terms[3::4], (terms[0::4], terms[1::4], terms[2::4]), p, q)
 
 
-def _symmetric_prior_rates(probs: np.ndarray | list, ps: np.ndarray | float):
-    """Rates [eta..., p...] from P[eta..., outcome, letter] over the letters
-    (a, b, c) with priors (p, p, 1 - 2p).
+def _symmetric_prior_rates(probs, ps) -> np.ndarray:
+    """Rates [eta..., p...] from the array P[eta..., outcome, letter] over the
+    letters (a, b, c) with priors (p, p, 1 - 2p), over the axes of ps.
 
     The mixture of each outcome is (P_a p + P_c (1 - 2p)) + P_b p, the letter
     entropies are weighted in the same order, and -x log2 x is summed over
     the outcomes in order (see _symmetric_rate_from_terms).  This order makes
     the rates equal, bit for bit, to those of the general kernel,
     capacities.mutual_information, on the same priors; any other rounds
-    differently in the last bit.  A list of (outcome, letter) rows and a
-    float p take the float path, _symmetric_prior_rate.
+    differently in the last bit.  The grid's path: one rate at a float eta
+    and p is _symmetric_prior_rate's, equal to the one-element grid's.
     """
-    if isinstance(probs, list) and isinstance(ps, float):
-        return _symmetric_prior_rate(probs, float(ps))
     ps = np.asarray(ps, dtype=float)
     qs = 1.0 - 2.0 * ps
     by_letter = np.moveaxis(np.asarray(probs), (-1, -2), (0, 1))  # (letter, outcome, eta...)
@@ -355,7 +353,7 @@ def _grid_then_refine(conditional_probs_at: Callable[[float], Callable],
         nonlocal p
         rows = conditional_probs(eta)
         p, slope_evals = _symmetric_prior_argmax(rows, p)
-        evaluated.append((_symmetric_prior_rates(rows, p), eta, p, slope_evals))
+        evaluated.append((_symmetric_prior_rate(rows, p), eta, p, slope_evals))
         return evaluated[-1][0]
 
     lo, hi = box
@@ -599,13 +597,14 @@ def crossover_angle(rate_fn: Callable[[Angle], float], lo: Angle, hi: Angle) -> 
     bracket of the root of rate - c1 at most CROSSOVER_TOLERANCE_DEG wide, or
     an evaluated angle where rate - c1 is exactly 0.
 
-    Requires rate - c1 to change sign between lo and hi.  False position
-    with the Illinois modification (Dowell and Jarratt 1971) keeps a
-    sign-change bracket: each new point is where the chord between the ends
-    crosses zero, and when the same end is kept twice in a row its value is
-    halved for the next chord, so that the other end moves too.  A chord
-    point that is not strictly inside the bracket is replaced by the
-    midpoint.  A NaN gap raises BracketingError.
+    Requires lo < hi, checked before any rate call, and rate - c1 to change
+    sign between them.  False position with the Illinois modification
+    (Dowell and Jarratt 1971) keeps a sign-change bracket: each new point is
+    where the chord between the ends crosses zero, and when the same end is
+    kept twice in a row its value is halved for the next chord, so that the
+    other end moves too.  After three such halvings in a row, the new points
+    are midpoints until the other end moves, as is a chord point not
+    strictly inside the bracket.  A NaN gap raises BracketingError.
     """
     def gap(angle: Angle) -> float:
         value = rate_fn(angle) - c1(angle)
@@ -614,6 +613,8 @@ def crossover_angle(rate_fn: Callable[[Angle], float], lo: Angle, hi: Angle) -> 
         return value
 
     lo_deg, hi_deg = lo.degrees, hi.degrees
+    if not lo_deg < hi_deg:
+        raise ValueError(f"need lo < hi, got {lo_deg:g} and {hi_deg:g} deg")
     f_lo, f_hi = gap(lo), gap(hi)
     if f_lo == 0.0 or f_hi == 0.0:
         return lo if f_lo == 0.0 else hi
@@ -622,23 +623,21 @@ def crossover_angle(rate_fn: Callable[[Angle], float], lo: Angle, hi: Angle) -> 
             f"rate - c1 has the same sign at both ends: rate-c1 at {lo_deg:g} deg: "
             f"{f_lo:.6e}, rate-c1 at {hi_deg:g} deg: {f_hi:.6e}"
         )
-    kept = None  # the end that the last step kept
+    streak = 0  # steps in a row that kept the high end (> 0) or the low end (< 0)
     while hi_deg - lo_deg > CROSSOVER_TOLERANCE_DEG:
         mid_deg = (lo_deg * f_hi - hi_deg * f_lo) / (f_hi - f_lo)
-        if not lo_deg < mid_deg < hi_deg:
+        if abs(streak) > 3 or not lo_deg < mid_deg < hi_deg:  # three halvings in a row
             mid_deg = 0.5 * (lo_deg + hi_deg)
         mid = Angle.from_degrees(mid_deg)
         f_mid = gap(mid)
         if f_mid == 0.0:
             return mid
         if (f_mid > 0.0) == (f_lo > 0.0):
-            lo_deg, f_lo = mid_deg, f_mid
-            if kept == "hi":
+            lo_deg, f_lo, streak = mid_deg, f_mid, max(streak, 0) + 1
+            if streak > 1:
                 f_hi /= 2.0
-            kept = "hi"
         else:
-            hi_deg, f_hi = mid_deg, f_mid
-            if kept == "lo":
+            hi_deg, f_hi, streak = mid_deg, f_mid, min(streak, 0) - 1
+            if streak < -1:
                 f_lo /= 2.0
-            kept = "lo"
     return Angle.from_degrees(0.5 * (lo_deg + hi_deg))

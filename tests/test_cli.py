@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superadd import cli, coherent, mcsim, twoshot
+from superadd import __version__, cli, coherent, mcsim, twoshot
 from superadd.capacities import c1
 from superadd.coherent import optimize_r2_truncated_reused
 from superadd.statespace import Angle
@@ -59,6 +59,20 @@ class TestPoint:
         code, _, _ = run_cli(["point", "--gamma", "90", "--which", "r2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("gamma", ["0", "90"])
+    @pytest.mark.parametrize("which", ["r2", "r2trunc", "r2gen"])
+    def test_optimizers_reject_the_ends_of_the_range(self, which, gamma, capsys):
+        # the optimizers' own open-range check is the only one
+        code, out, err = run_cli(["point", "--gamma", gamma, "--which", which], capsys)
+        assert code == 2 and out == ""
+        assert "strictly inside (0, 90)" in err
+
+    @pytest.mark.parametrize("gamma", ["0", "90"])
+    @pytest.mark.parametrize("which", ["c1", "cinf"])
+    def test_capacities_accept_the_ends_of_the_range(self, which, gamma, capsys):
+        code, _, _ = run_cli(["point", "--gamma", gamma, "--which", which], capsys)
+        assert code == 0
+
     def test_repeated_calls_print_identical_output(self, capsys):
         args = ["point", "--gamma", "7", "--which", "r2"]
         _, first, _ = run_cli(args, capsys)
@@ -77,6 +91,16 @@ class TestSweep:
         assert lines[0].startswith("# superadd sweep")
         assert lines[1] == "gamma_deg,c1,cinf"
         assert len(lines) == 4
+
+    def test_columns_and_provenance_pinned(self, tmp_path, capsys):
+        assert cli.SWEEP_COLUMNS == ("c1", "cinf", "ratio", "r2", "diff", "r2_over_c1",
+                                     "r2trunc", "r2trunc_reused", "r2gen")
+        out = tmp_path / "provenance.csv"
+        run_cli(["sweep", "--from", "10", "--to", "20.5", "--steps", "2",
+                 "--columns", "cinf,c1", "--out", str(out)], capsys)
+        assert out.read_text().splitlines()[0] == (
+            "# superadd sweep from=10 to=20.5 steps=2 columns=cinf,c1 seed=0 eta_points=240 "
+            f"p_points=101 eta_xatol=1e-08 version={__version__}")
 
     def test_ratio_column_strictly_decreasing(self, tmp_path, capsys):
         out = tmp_path / "ratio.csv"
@@ -202,6 +226,12 @@ class TestMc:
         assert code == 0
         assert "analytic_mi_bits" in out
         assert "RESULT: PASS" in out
+
+    @pytest.mark.parametrize("gamma", ["0", "90"])
+    def test_ends_of_the_range_rejected(self, gamma, capsys):
+        code, out, err = run_cli(["mc", "--gamma", gamma, "--samples", "10"], capsys)
+        assert code == 2 and out == ""
+        assert "strictly inside (0, 90)" in err
 
     def test_zero_samples_rejected(self, capsys):
         code, _, _ = run_cli(["mc", "--gamma", "10", "--samples", "0", "--seed", "1"], capsys)

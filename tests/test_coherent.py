@@ -22,7 +22,8 @@ from superadd.coherent import (
 )
 from superadd.statespace import Angle, MeasurementBasis
 from superadd.twoshot import (_ansatz_ensemble, _ideal_conditional_probs, _symmetric_prior_argmax,
-                              _symmetric_prior_rates, ansatz_basis, ansatz_rows, optimize_r2)
+                              _symmetric_prior_rate, _symmetric_prior_rates, ansatz_basis,
+                              ansatz_rows, optimize_r2)
 
 
 def deg(d):
@@ -222,7 +223,7 @@ class TestTruncatedRate:
             gamma_rad = rng.uniform(0.05, math.pi / 2 - 0.05)
             eta = rng.uniform(0.0, math.pi)
             p = rng.uniform(0.0, 0.5)
-            fast = _symmetric_prior_rates(_trunc_conditional_probs(gamma_rad)(eta), p)
+            fast = _symmetric_prior_rate(_trunc_conditional_probs(gamma_rad)(eta), p)
             slow = rate_truncated(eta, p, Angle(gamma_rad))
             assert fast == pytest.approx(slow, abs=1e-12)
 
@@ -242,7 +243,7 @@ class TestTruncatedRate:
         one_cell = _symmetric_prior_rates(probs, np.array([p]))
         assert one_cell.shape == (1, 1)
         rows = conditional_probs(eta)
-        assert _symmetric_prior_rates(rows, p) == one_cell[0, 0]
+        assert _symmetric_prior_rate(rows, p) == one_cell[0, 0]
         assert all(type(value) is float for row in rows for value in row)
         assert np.array_equal(rows, probs[0])
         alpha = alpha_from_gamma(Angle(gamma_rad))
@@ -250,7 +251,7 @@ class TestTruncatedRate:
         amplitudes = _clipped_amplitudes(float(ce[0]), float(se[0]), alpha, 0.9, 0.1)
         assert all(type(value) is float for value in amplitudes)
         assert amplitudes == tuple(a[0] for a in _clipped_amplitudes(ce, se, alpha, 0.9, 0.1))
-        assert (_symmetric_prior_rates(probs[0].tolist(), p)
+        assert (_symmetric_prior_rate(probs[0].tolist(), p)
                 == _symmetric_prior_rates(probs, np.array([p]))[0, 0])
         ps = np.linspace(0.0, 0.5, 101)
         assert np.array_equal(_symmetric_prior_rates(probs[0], ps),
@@ -277,7 +278,7 @@ PARAMS_ANGLES = [1e-3, 0.01, 0.05, 0.2, 0.5, 1.0, 2.5, 5.0, 8.0, 12.0, 15.0,
 
 
 def exact_prior_rate(rows, p):
-    """_symmetric_prior_rates(rows, p) in 40-digit arithmetic, the oracle below
+    """_symmetric_prior_rate(rows, p) in 40-digit arithmetic, the oracle below
     the float rate's rounding (about 1e-16, where O(1) entropies cancel)."""
     with mpmath.workdps(40):
         priors = (mpmath.mpf(p), mpmath.mpf(p), 1 - 2 * mpmath.mpf(p))
@@ -343,7 +344,7 @@ def test_params_reproduce_value(gamma_deg):
             (_trunc_conditional_probs(g.radians), optimize_r2_truncated(g)),
             (_trunc_conditional_probs(g.radians), optimize_r2_truncated_reused(g, ideal=ideal))]:
         rows = conditional_probs(result.params["eta"])
-        assert _symmetric_prior_rates(rows, result.params["p"]) == result.bits_per_transmission
+        assert _symmetric_prior_rate(rows, result.params["p"]) == result.bits_per_transmission
 
 
 # Optimizer values at fixed angles, so that a refactor of the grid searches

@@ -29,6 +29,7 @@ from superadd.twoshot import (
     _rate_and_gradient,
     _rotation_angles,
     _symmetric_prior_argmax,
+    _symmetric_prior_rate,
     _symmetric_prior_rates,
     _symmetric_prior_slope,
     ansatz_basis,
@@ -163,7 +164,7 @@ class TestRateFunctional:
             gamma_rad = rng.uniform(0.02, math.pi / 2 - 0.02)
             eta = rng.uniform(0.0, math.pi)
             p = rng.uniform(0.0, 0.5)
-            fast = _symmetric_prior_rates(_ideal_conditional_probs(gamma_rad)(eta), p)
+            fast = _symmetric_prior_rate(_ideal_conditional_probs(gamma_rad)(eta), p)
             slow = rate(eta, p, Angle(gamma_rad))
             assert fast == pytest.approx(slow, abs=1e-12)
 
@@ -180,13 +181,13 @@ class TestRateFunctional:
         conditional_probs = _ideal_conditional_probs(math.radians(gamma_deg))
         one_cell = _symmetric_prior_rates(conditional_probs(np.array([eta])), np.array([p]))
         assert one_cell.shape == (1, 1)
-        assert _symmetric_prior_rates(conditional_probs(eta), p) == one_cell[0, 0]
+        assert _symmetric_prior_rate(conditional_probs(eta), p) == one_cell[0, 0]
 
     @given(rows=probability_rows, p=priors)
     @example(rows=[(0.76, 0.5, 0.45), (0.0, 0.22, 0.42)], p=0.3)
     def test_float_rate_equals_one_element_array_rate(self, rows, p):
         one_cell = _symmetric_prior_rates(np.array([rows]), np.array([p]))
-        assert same_bits([_symmetric_prior_rates(rows, p)], [one_cell[0, 0]])
+        assert same_bits([_symmetric_prior_rate(rows, p)], [one_cell[0, 0]])
 
     @pytest.mark.parametrize("gamma_deg", [0.05, 0.5, 5, 17, 18.7, 45, 80, 89.9])
     def test_prior_tail_equals_general_kernel_on_full_grids(self, gamma_deg):
@@ -202,7 +203,7 @@ class TestRateFunctional:
             assert np.array_equal(rates, general_kernel_prior_rates(probs, ps))
             # the float path, at every eta of three columns, gives the cells
             for j in (0, 37, P_POINTS - 1):
-                floats = [_symmetric_prior_rates(table.tolist(), float(ps[j])) for table in probs]
+                floats = [_symmetric_prior_rate(table.tolist(), float(ps[j])) for table in probs]
                 assert floats == rates[:, j].tolist()
 
 
@@ -223,7 +224,7 @@ class TestOptimizeR2:
         # the grid's cells (one rate call), then one float rate and the prior
         # search's slope evaluations at each point of the eta search
         calls = Counter()
-        for name in ("_symmetric_prior_rates", "_symmetric_prior_slope"):
+        for name in ("_symmetric_prior_rates", "_symmetric_prior_rate", "_symmetric_prior_slope"):
             monkeypatch.setattr(twoshot, name, lambda *args, fn=getattr(twoshot, name):
                                 calls.update([fn]) or fn(*args))
         result = optimize(deg(12))
@@ -275,7 +276,7 @@ class TestSymmetricPriorSearch:
     def test_slope_is_the_rate_derivative(self, gamma, eta, p, conditional_probs_at):
         # and the curvature is the slope's derivative
         rows, h = conditional_probs_at(gamma)(eta), 1e-7
-        central = (_symmetric_prior_rates(rows, p + h) - _symmetric_prior_rates(rows, p - h)) / h
+        central = (_symmetric_prior_rate(rows, p + h) - _symmetric_prior_rate(rows, p - h)) / h
         slope, curvature = _symmetric_prior_slope(rows, p)
         assert slope == pytest.approx(central, rel=1e-6, abs=1e-8)
         (up, _), (down, _) = _symmetric_prior_slope(rows, p + h), _symmetric_prior_slope(rows, p - h)
@@ -522,12 +523,13 @@ class TestCrossoverAngle:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_strongly_convex_gap_still_closes_the_bracket(self, k, sign):
         # plain false position keeps the far end forever on such a gap; the
-        # Illinois halving moves it.  Bisection from 10 deg takes 16 calls.
+        # Illinois halving moves it, and bisecting after three halvings in a
+        # row moves it soon.  Bisection from 10 deg takes 16 calls.
         calls = []
 
         def fake_rate(gamma):
             calls.append(gamma.degrees)
-            assert len(calls) <= 64
+            assert len(calls) <= 32
             return c1(gamma) + sign * math.expm1(sign * k * (gamma.degrees - 17.3))
 
         found = crossover_angle(fake_rate, deg(15), deg(25))
@@ -535,6 +537,19 @@ class TestCrossoverAngle:
         below, above = (max(d for d in calls if d <= found.degrees),
                         min(d for d in calls if d >= found.degrees))
         assert above - below <= CROSSOVER_TOLERANCE_DEG
+
+    @pytest.mark.parametrize("lo, hi", [(25.0, 15.0), (17.3, 17.3)], ids=["reversed", "equal"])
+    def test_bracket_must_increase(self, lo, hi):
+        # a reversed bracket returned its midpoint, 20 deg, as the root
+        calls = []
+
+        def fake_rate(gamma):
+            calls.append(gamma)
+            return c1(gamma) + (17.3 - gamma.degrees) * 1e-4
+
+        with pytest.raises(ValueError, match="lo < hi"):
+            crossover_angle(fake_rate, deg(lo), deg(hi))
+        assert calls == []
 
     @pytest.mark.parametrize("root_deg", [15.0, 25.0])
     def test_root_at_an_end_is_returned(self, root_deg):
