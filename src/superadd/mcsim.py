@@ -6,11 +6,14 @@ converge on the analytic value.  Trials are split into fixed-size blocks,
 each with its own child stream of the master seed, so the counts depend on
 the seed and the sample count alone.
 
-Both draws are tallied by comparing uniforms with the edges of a cumulative
-distribution, one vector compare per edge.  The letter is the number of
-prior-CDF edges at or below its uniform, which is the draw and the
-searchsorted(side="right") of Generator.choice(p=priors), so the letters, and
-with them every count, are bit-identical to drawing through Generator.choice.
+Both draws compare uniforms with the edges of a cumulative distribution.  The
+letter is the number of prior-CDF edges at or below its uniform, which is the
+draw and the searchsorted(side="right") of Generator.choice(p=priors), so the
+letters, and with them every count, are bit-identical to drawing through
+Generator.choice.  The outcomes are never materialized: for each letter, one
+boolean mask per outcome-CDF edge counts the trials of that letter whose
+uniform is at or above the edge, and neighbouring counts differ by the trials
+of one outcome.
 """
 
 from __future__ import annotations
@@ -36,13 +39,19 @@ class SimConfig:
     basis: MeasurementBasis
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("need at least one sample")
+        _check_whole("samples", self.samples, 1)
+        _check_whole("seed", self.seed, 0)
         _born_probabilities(self.ensemble, self.basis)  # dimension and completeness checks
 
     def outcome_probabilities(self) -> np.ndarray:
         """P[letter, outcome] under the Born rule."""
         return _born_probabilities(self.ensemble, self.basis).T
+
+
+def _check_whole(name: str, value, least: int) -> None:
+    """value is a Python or numpy integer, not a bool, and at least least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,11 @@ class JointCounts:
     total: int
 
     def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64)
+        given = np.asarray(self.counts)
+        # checked before the cast, which would truncate 1.5 to 1 and warn on nan
+        if given.dtype.kind == "f" and not np.all(np.isfinite(given) & (given == np.trunc(given))):
+            raise ValueError("counts must be finite whole numbers")
+        counts = np.array(given, dtype=np.int64)
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         if counts.ndim != 2:
@@ -73,11 +86,13 @@ def _check_tables(counts: np.ndarray, total: int) -> None:
 
 def _draw_letters(rng: np.random.Generator, priors: np.ndarray, size: int) -> np.ndarray:
     """rng.choice(len(priors), size, p=priors), bit for bit and consuming
-    the same uniforms, by one vector compare per prior-CDF edge."""
+    the same uniforms, by one vector compare per prior-CDF edge.  The letters
+    come in the smallest unsigned type that holds len(priors) - 1, uint8 for
+    up to 256 letters."""
     edges = np.cumsum(priors)
     edges /= edges[-1]  # choice's normalization: edges[-1] == 1 > every uniform
     uniforms = rng.random(size)
-    letters = np.zeros(size, dtype=np.intp)
+    letters = np.zeros(size, dtype=np.min_scalar_type(priors.size - 1))
     for edge in edges[:-1]:
         letters += uniforms >= edge
     return letters
@@ -88,20 +103,22 @@ def simulate(config: SimConfig) -> JointCounts:
 
     Deterministic for a fixed config: block k always consumes the k-th child
     stream of the master seed, first the letter uniforms, then the outcome
-    uniforms.
+    uniforms.  Each block is tallied letter by letter with boolean masks, so
+    no per-trial outcome or cell index is ever built.
     """
     priors = config.ensemble.priors
     cond = config.outcome_probabilities()  # (letter, outcome)
     n_letters, n_outcomes = cond.shape
     # A CDF row is a cumsum of squared amplitudes, so it never decreases: the
-    # entries a uniform is at or above form a prefix of the row.  Counting
-    # only the first n_outcomes - 1 columns therefore equals the count over
-    # all columns clipped to n_outcomes - 1, the guard for a last entry that
-    # rounds below a uniform.
-    cdf_columns = np.cumsum(cond, axis=1).T[:-1].copy()  # (outcome - 1, letter)
+    # entries a uniform is at or above form a prefix of the row, and
+    # at_least[x, k] - at_least[x, k + 1] counts the trials of letter x that
+    # land on outcome k.  Comparing only the first n_outcomes - 1 entries (and
+    # leaving at_least[:, -1] at zero) clips a trial past a last entry that
+    # rounds below its uniform to the last outcome.
+    cdf = np.cumsum(cond, axis=1)[:, :-1]  # (letter, outcome - 1)
+    at_least = np.zeros((n_letters, n_outcomes + 1), dtype=np.int64)
     blocks = math.ceil(config.samples / BLOCK_SIZE)
     streams = np.random.SeedSequence(config.seed).spawn(blocks)
-    counts = np.zeros(n_letters * n_outcomes, dtype=np.int64)
     remaining = config.samples
     for stream in streams:
         block = min(BLOCK_SIZE, remaining)
@@ -109,11 +126,12 @@ def simulate(config: SimConfig) -> JointCounts:
         rng = np.random.default_rng(stream)
         letters = _draw_letters(rng, priors, block)
         uniforms = rng.random(block)
-        cells = letters * n_outcomes
-        for column in cdf_columns:
-            cells += uniforms >= column.take(letters)
-        counts += np.bincount(cells, minlength=counts.size)
-    return JointCounts(counts=counts.reshape(n_letters, n_outcomes), total=config.samples)
+        for x, edges in enumerate(cdf):
+            mine = letters == x
+            at_least[x, 0] += np.count_nonzero(mine)
+            for k, edge in enumerate(edges, 1):
+                at_least[x, k] += np.count_nonzero(mine & (uniforms >= edge))
+    return JointCounts(counts=at_least[:, :-1] - at_least[:, 1:], total=config.samples)
 
 
 def _miller_madow_bits(counts: np.ndarray, total: int) -> np.ndarray:

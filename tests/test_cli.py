@@ -237,6 +237,11 @@ class TestMc:
         code, _, _ = run_cli(["mc", "--gamma", "10", "--samples", "0", "--seed", "1"], capsys)
         assert code == 2
 
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run_cli(["mc", "--gamma", "10", "--samples", "10", "--seed", "-1"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: seed must be an integer >= 0, got -1\n"
+
     @pytest.mark.parametrize("shift, z", [(None, "-inf"), (0.0, "+0.000"), (1.0, "+inf")])
     def test_zero_spread_z_takes_the_sign_of_the_miss(self, shift, z, capsys, monkeypatch):
         # one sample: the bootstrap SE is 0, and the empirical value 0 is low

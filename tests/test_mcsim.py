@@ -83,6 +83,22 @@ class TestSimulate:
         with pytest.raises(ValueError, match="basis dimension 4 != ensemble dimension 2"):
             SimConfig(samples=10, seed=1, ensemble=pair, basis=basis)
 
+    @pytest.mark.parametrize("field, value", [
+        ("samples", 1000.0), ("samples", 1e6), ("samples", True), ("samples", 0),
+        ("seed", -1), ("seed", 1.5), ("seed", True)])
+    def test_config_needs_whole_samples_and_seed(self, field, value):
+        # a float, a bool or an out-of-range value fails here, naming the
+        # field, not later inside numpy's sampling or SeedSequence
+        ensemble, basis, _ = optimal_two_shot_setup()
+        fields = {"samples": 10, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= "):
+            SimConfig(ensemble=ensemble, basis=basis, **fields)
+
+    def test_config_accepts_numpy_integers(self):
+        ensemble, basis, _ = optimal_two_shot_setup()
+        config = SimConfig(samples=np.int64(100), seed=np.uint32(3), ensemble=ensemble, basis=basis)
+        assert simulate(config).total == 100
+
 
 class TestEmpiricalMi:
     def test_diagonal_thirds_give_log2_three(self):
@@ -114,6 +130,17 @@ class TestEmpiricalMi:
             JointCounts(counts=np.ones((2, 2), dtype=int), total=5)
         with pytest.raises(ValueError, match="nonnegative"):
             JointCounts(counts=np.array([[-1, 1], [0, 0]]), total=0)
+
+    @pytest.mark.parametrize("cells", [[[1.5, 1.5], [1.9, 1.9]], [[np.nan, 1.0], [1.0, 2.0]]])
+    def test_counts_must_be_whole(self, cells):
+        # the int64 cast would truncate the fractional table to all ones
+        with pytest.raises(ValueError, match="whole"):
+            JointCounts(counts=cells, total=4)
+
+    def test_whole_float_counts_accepted(self):
+        counts = JointCounts(counts=[[3.0, 1.0], [0.0, 2.0]], total=6)
+        assert counts.counts.dtype == np.int64
+        assert counts.counts.tolist() == [[3, 1], [0, 2]]
 
 
 class TestConsistency:
@@ -239,6 +266,37 @@ class TestComparisonTally:
         letters = mcsim._draw_letters(ours, priors, size)
         assert np.array_equal(letters, theirs.choice(priors.size, size=size, p=priors))
         assert ours.random() == theirs.random()  # the same stream position after
+
+    def test_many_letters_equal_oracle_and_choice(self):
+        # 300 letters: the letters come as uint16, past the Hypothesis
+        # strategy's 5 letters
+        rng = np.random.default_rng(19)
+        priors = normalized(rng.random(300))
+        states = rng.normal(size=(300, 3))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        basis, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        ensemble = Ensemble(tuple((float(p), StateVector(v)) for p, v in zip(priors, states)))
+        config = SimConfig(samples=20_000, seed=5, ensemble=ensemble,
+                           basis=MeasurementBasis.from_rows(basis.T))
+        assert np.array_equal(simulate(config).counts, oracle_simulate(config))
+        ours, theirs = np.random.default_rng(6), np.random.default_rng(6)
+        letters = mcsim._draw_letters(ours, ensemble.priors, 5_000)
+        assert np.array_equal(letters, theirs.choice(300, size=5_000, p=ensemble.priors))
+
+    def test_four_outcomes_over_a_full_and_a_partial_block(self):
+        rng = np.random.default_rng(23)
+        priors = normalized(rng.random(4))
+        ensemble = Ensemble(tuple(zip(map(float, priors), two_shot_alphabet(deg(20)))))
+        basis, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        config = SimConfig(samples=mcsim.BLOCK_SIZE + 1, seed=11, ensemble=ensemble,
+                           basis=MeasurementBasis.from_rows(basis.T))
+        assert np.array_equal(simulate(config).counts, oracle_simulate(config))
+
+    @pytest.mark.parametrize("n_letters, dtype", [(1, np.uint8), (3, np.uint8), (256, np.uint8),
+                                                  (257, np.uint16), (300, np.uint16)])
+    def test_letters_take_the_smallest_unsigned_type(self, n_letters, dtype):
+        priors = np.full(n_letters, 1.0 / n_letters)
+        assert mcsim._draw_letters(np.random.default_rng(0), priors, 10).dtype == dtype
 
     def test_draw_on_an_edge_goes_past_it(self):
         # One sample whose letter uniform equals the first prior edge and
