@@ -161,8 +161,8 @@ def empirical_mi(counts: JointCounts) -> float:
 def bootstrap_standard_error(counts: JointCounts, resamples: int = 100, seed: int = 0) -> float:
     """Standard error of the empirical mutual information by multinomial
     resampling of the joint cells."""
-    if resamples < 2:
-        raise ValueError("need at least two resamples")
+    _check_whole("resamples", resamples, 2)
+    _check_whole("seed", seed, 0)
     probs = counts.counts.ravel() / counts.total
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     tables = rng.multinomial(counts.total, probs, size=resamples).reshape(

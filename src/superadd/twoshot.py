@@ -32,6 +32,13 @@ SQRT2 = math.sqrt(2.0)
 ETA_POINTS = 240  # over [0, pi), the family's period
 P_POINTS = 101  # over [0, 0.5]
 ETA_XATOL = 1e-8  # the eta search stops when its inner points are this close
+# The grid's coarse pass rates every P_STRIDE-th p, the largest divisor of
+# P_POINTS - 1 not above its square root, so that its samples end at both
+# p = 0 and 0.5.  A row is left out of the fine pass when its rate is
+# certified GRID_MARGIN below the best sample: hundreds of times the rate
+# kernel's rounding, about 4e-15.  Neither changes a result.
+P_STRIDE = next(s for s in range(math.isqrt(P_POINTS - 1), 0, -1) if (P_POINTS - 1) % s == 0)
+GRID_MARGIN = 1e-12
 ANSATZ_HYPERPARAMS = {
     "eta_points": float(ETA_POINTS),
     "p_points": float(P_POINTS),
@@ -41,10 +48,12 @@ ANSATZ_HYPERPARAMS = {
 # glibc's malloc raises its mmap threshold to the size of the largest
 # mmap-ed block freed so far, and its heap-trim threshold to twice that
 # (mallopt(3)).  Until some block that large is freed, the grid search's
-# temporaries, about 1.2 MB per call, go back to the system at the end of
-# each call and are page-faulted in again by the next, which costs about a
-# fifth of a sweep's time.  So one 2 MiB block is allocated and freed at
-# import.
+# temporaries go back to the system at the end of each call and are
+# page-faulted in again by the next, which cost about a fifth of a sweep's
+# time when every call rated the full grid.  They still reach about 1.3 MB
+# per call where the coarse pass drops few eta rows, mostly below about
+# 2 deg; elsewhere they peak at 0.2-0.4 MB.  So one 2 MiB block is
+# allocated and freed at import.
 np.empty(1 << 18)
 
 
@@ -260,30 +269,40 @@ def _symmetric_prior_rates(probs, ps) -> np.ndarray:
     return _symmetric_rate_from_terms(mixture_terms, _xlog2x(by_letter), ps, qs)
 
 
-def _symmetric_prior_slope(rows, p: float) -> tuple[float, float]:
-    """Twice the slope and twice the curvature in p of
+def _symmetric_prior_slope(rows) -> Callable[[float], tuple[float, float]]:
+    """p -> twice the slope and twice the curvature in p of
     _symmetric_prior_rate(rows, p), in Python floats: the sums over the
     (outcome, letter) rows (a, b, c) of a log2 a + b log2 b - 2 c log2 c
     - d log2 m and of -d^2 / (m ln 2), with d = a + b - 2c and the mixture
     m = (a + b) p + c (1 - 2p); the slope's 1/ln 2 term drops out because
     the d sum to zero.  A zero m with d != 0 at p = 0 or 0.5 makes the slope
     infinite, with the sign of d; between them m is zero only by underflow,
-    and the row's terms, the slope's below 1e-300, are left out."""
-    slope = curvature = 0.0
+    and the row's terms, the slope's below 1e-300, are left out.  The terms
+    that do not depend on p are taken once per rows, so each p takes one
+    logarithm per row."""
+    terms = []  # (a log2 a + b log2 b) + (-2c) log2 c, d, a + b and c of each row
     for a, b, c in rows:
-        row = a * math.log2(a) if a else 0.0  # (a log2 a + b log2 b) + (-2c) log2 c
+        row = a * math.log2(a) if a else 0.0
         if b:
             row += b * math.log2(b)
         if c:
             row += -2.0 * c * math.log2(c)
-        slope += row
-        d, m = a + b - 2.0 * c, (a + b) * p + c * (1.0 - 2.0 * p)
-        if d and m:
-            slope -= d * math.log2(m)
-            curvature -= d * d / (m * LN2)
-        elif d and p in (0.0, 0.5):
-            slope += math.copysign(math.inf, d)
-    return slope, curvature
+        terms.append((row, a + b - 2.0 * c, a + b, c))
+
+    def slope_at(p: float) -> tuple[float, float]:
+        slope = curvature = 0.0
+        q = 1.0 - 2.0 * p
+        for row, d, ab, c in terms:
+            slope += row
+            m = ab * p + c * q
+            if d and m:
+                slope -= d * math.log2(m)
+                curvature -= d * d / (m * LN2)
+            elif d and p in (0.0, 0.5):
+                slope += math.copysign(math.inf, d)
+        return slope, curvature
+
+    return slope_at
 
 
 def _symmetric_prior_argmax(rows, start: float) -> tuple[float, int]:
@@ -299,13 +318,14 @@ def _symmetric_prior_argmax(rows, start: float) -> tuple[float, int]:
     at or below math.ulp(0.5), at its lower end: priors that small move the
     rate by less than its rounding, and bisecting on would halve hi down
     through the subnormals."""
-    if _symmetric_prior_slope(rows, 0.5)[0] >= 0.0:
+    slope_at = _symmetric_prior_slope(rows)
+    if slope_at(0.5)[0] >= 0.0:
         return 0.5, 1
     lo, hi, evals = 0.0, 0.5, 1
     p = start if lo < start < hi else 0.25
     while True:
         evals += 1
-        slope, curvature = _symmetric_prior_slope(rows, p)
+        slope, curvature = slope_at(p)
         step = p - slope / curvature if curvature else math.nan  # zero: linear in p, bisect
         if step == p:  # before the bracket, which now ends at p
             return p, evals
@@ -323,27 +343,59 @@ def _check_open_range(gamma: Angle) -> float:
     return gamma.radians
 
 
+def _grid_best_cell(probs: np.ndarray, ps: np.ndarray) -> tuple[int, int, int]:
+    """The row-major first maximum (gi, pi) of _symmetric_prior_rates(probs,
+    ps) over P[eta, outcome, letter] and the P_POINTS evenly spaced priors
+    ps from 0 to 0.5, and the number of distinct cells rated to find it.
+
+    A coarse pass rates every row at every P_STRIDE-th p.  The rate is
+    concave in p at a fixed measurement (Gallager 1968, sec. 4.5), so between
+    samples k and k + 1 of a row it is at most f_k + max(f_k - f_{k-1}, 0),
+    the chord through samples k - 1 and k carried on, and at most
+    f_{k+1} + max(f_{k+1} - f_{k+2}, 0) from the other side; the first and
+    last interval have one side.  A row whose largest such bound lies
+    GRID_MARGIN below the best sample cannot hold the best cell, and only the
+    other rows, in order, are rated at every p.  The kernel is elementwise,
+    so their cells, and with them the maximum and its tie rule, are those of
+    the full grid.  A NaN anywhere among the samples keeps every row, so the
+    argmax is then the full grid's too.
+    """
+    coarse = _symmetric_prior_rates(probs, ps[::P_STRIDE])
+    step = np.diff(coarse, axis=1)
+    inner, ends = coarse[:, 1:-1], np.full((len(coarse), 1), np.inf)
+    # column k bounds interval k from samples k - 1 and k, and from k + 1 and k + 2
+    from_left = np.hstack([ends, inner + np.maximum(step[:, :-1], 0.0)])
+    from_right = np.hstack([inner + np.maximum(-step[:, 1:], 0.0), ends])
+    bounds = np.minimum(from_left, from_right).max(axis=1)
+    kept = np.flatnonzero(~(bounds + GRID_MARGIN < coarse.max()))
+    fine = _symmetric_prior_rates(probs[kept], ps)
+    row, pi = np.unravel_index(int(np.argmax(fine)), fine.shape)
+    return int(kept[row]), int(pi), coarse.size + len(kept) * (len(ps) - coarse.shape[1])
+
+
 def _grid_then_refine(conditional_probs_at: Callable[[float], Callable],
                       gamma: Angle) -> RateResult:
     """Maximize the symmetric-family rate over (eta, p), from the
     etas -> P[eta..., outcome, letter] function that
     conditional_probs_at(gamma_rad) builds once per angle.
 
-    A coarse (eta, p) grid picks the best cell (exact ties: the smallest eta,
-    then the smallest p, the row-major argmax order).  A golden-section
-    search (Kiefer 1953), each new point the mirror of the kept one, then
-    maximizes R(eta) = rate(eta, p*(eta)) over two eta cells on either side,
-    with p* from _symmetric_prior_argmax warm-started at the previous
-    point's p (the first at the cell's).  It stops when its inner points are
-    ETA_XATOL apart and reports the best point evaluated, the later of equal
-    ones; converged is False when the bracket still holds an end of the box.
-    iterations counts the grid cells, float rates and slope evaluations.
+    The best cell of an ETA_POINTS x P_POINTS (eta, p) grid (exact ties: the
+    smallest eta, then the smallest p, the row-major argmax order) is found
+    by _grid_best_cell, which rates in full only the eta rows that its coarse
+    pass cannot rule out.  A golden-section search (Kiefer 1953), each new
+    point the mirror of the kept one, then maximizes R(eta) =
+    rate(eta, p*(eta)) over two eta cells on either side, with p* from
+    _symmetric_prior_argmax warm-started at the previous point's p (the
+    first at the cell's).  It stops when its inner points are ETA_XATOL
+    apart and reports the best point evaluated, the later of equal ones;
+    converged is False when the bracket still holds an end of the box.
+    iterations counts the distinct grid cells rated, the float rates and
+    the slope evaluations.
     """
     conditional_probs = conditional_probs_at(_check_open_range(gamma))
     etas = np.linspace(0.0, math.pi, ETA_POINTS, endpoint=False)
     ps = np.linspace(0.0, 0.5, P_POINTS)
-    grid = _symmetric_prior_rates(conditional_probs(etas), ps)
-    gi, pi = np.unravel_index(int(np.argmax(grid)), grid.shape)
+    gi, pi, cells = _grid_best_cell(conditional_probs(etas), ps)
     d_eta = math.pi / ETA_POINTS
     box = (float(etas[gi] - 2.0 * d_eta), float(etas[gi] + 2.0 * d_eta))
     p = float(ps[pi])
@@ -373,7 +425,7 @@ def _grid_then_refine(conditional_probs_at: Callable[[float], Callable],
     return RateResult(
         bits_per_transmission=best,
         params={"eta": eta % math.pi, "p": p},
-        iterations=grid.size + sum(1 + slope_evals for *_, slope_evals in evaluated),
+        iterations=cells + sum(1 + slope_evals for *_, slope_evals in evaluated),
         converged=box[0] < lo and hi < box[1],
         hyperparams=dict(ANSATZ_HYPERPARAMS),
     )

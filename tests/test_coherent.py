@@ -21,7 +21,8 @@ from superadd.coherent import (
     two_shot_coherent_alphabet,
 )
 from superadd.statespace import Angle, MeasurementBasis
-from superadd.twoshot import (_ansatz_ensemble, _ideal_conditional_probs, _symmetric_prior_argmax,
+from superadd.twoshot import (ETA_POINTS, P_POINTS, _ansatz_ensemble, _grid_best_cell,
+                              _ideal_conditional_probs, _symmetric_prior_argmax,
                               _symmetric_prior_rate, _symmetric_prior_rates, ansatz_basis,
                               ansatz_rows, optimize_r2)
 
@@ -366,3 +367,17 @@ def test_optimizer_values_pinned(gamma_deg, r2, r2trunc, r2trunc_reused):
     assert optimize_r2_truncated(g).bits_per_transmission == pytest.approx(r2trunc, rel=0, abs=1e-13)
     assert (optimize_r2_truncated_reused(g).bits_per_transmission
             == pytest.approx(r2trunc_reused, rel=0, abs=1e-9))
+
+
+@given(gamma_deg=st.floats(0.0, 90.0, exclude_min=True, exclude_max=True),
+       conditional_probs_at=st.sampled_from([_ideal_conditional_probs, _trunc_conditional_probs]))
+def test_grid_best_cell_is_the_full_grid_argmax(gamma_deg, conditional_probs_at):
+    # the rows that the coarse pass drops cannot hold the best cell, so the
+    # cell and its tie rule are the full grid's
+    etas = np.linspace(0.0, math.pi, ETA_POINTS, endpoint=False)
+    ps = np.linspace(0.0, 0.5, P_POINTS)
+    probs = conditional_probs_at(math.radians(gamma_deg))(etas)
+    full = _symmetric_prior_rates(probs, ps)
+    gi, pi, cells = _grid_best_cell(probs, ps)
+    assert (gi, pi) == np.unravel_index(np.argmax(full), full.shape)
+    assert cells <= full.size

@@ -178,6 +178,16 @@ class TestConsistency:
         with pytest.raises(ValueError, match="resample"):
             bootstrap_standard_error(counts, resamples=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("resamples", 2.5), ("resamples", 3.0), ("resamples", True), ("resamples", -1),
+        ("seed", 1.5), ("seed", True), ("seed", -1), ("seed", None)])
+    def test_bootstrap_rejects_bad_arguments(self, field, value):
+        # whole numbers only: a float resample count died inside numpy, and
+        # seed=True was taken as 1
+        counts = JointCounts(counts=np.diag([10, 10]), total=20)
+        with pytest.raises(ValueError, match=field):
+            bootstrap_standard_error(counts, **{field: value})
+
 
 # The per-sample algorithm that simulate replaced, kept as its oracle: the
 # letters from Generator.choice, then a (block, outcome) compare against each

@@ -23,6 +23,7 @@ from superadd.twoshot import (
     _ansatz_ensemble,
     _general_rates,
     _givens_product,
+    _grid_best_cell,
     _grid_then_refine,
     _ideal_conditional_probs,
     _letters_matrix,
@@ -221,14 +222,62 @@ class TestOptimizeR2:
 
     @pytest.mark.parametrize("optimize", [optimize_r2, optimize_r2_truncated])
     def test_iterations_count_every_evaluation(self, optimize, monkeypatch):
-        # the grid's cells (one rate call), then one float rate and the prior
-        # search's slope evaluations at each point of the eta search
-        calls = Counter()
-        for name in ("_symmetric_prior_rates", "_symmetric_prior_rate", "_symmetric_prior_slope"):
-            monkeypatch.setattr(twoshot, name, lambda *args, fn=getattr(twoshot, name):
-                                calls.update([fn]) or fn(*args))
+        # the grid's distinct cells: those of its two rate calls, less the
+        # coarse samples that the fine pass rates again; then one float rate
+        # and the prior search's slope evaluations at each point of the eta
+        # search
+        grids, calls = [], Counter()
+        rates, rate, slope = (twoshot._symmetric_prior_rates, twoshot._symmetric_prior_rate,
+                              twoshot._symmetric_prior_slope)
+
+        def counted_rates(probs, ps):
+            grids.append(rates(probs, ps))
+            return grids[-1]
+
+        def counted_slope(rows):
+            slope_at = slope(rows)
+            return lambda p: calls.update(["slope"]) or slope_at(p)
+
+        monkeypatch.setattr(twoshot, "_symmetric_prior_rates", counted_rates)
+        monkeypatch.setattr(twoshot, "_symmetric_prior_rate",
+                            lambda rows, p: calls.update(["rate"]) or rate(rows, p))
+        monkeypatch.setattr(twoshot, "_symmetric_prior_slope", counted_slope)
         result = optimize(deg(12))
-        assert result.iterations == ETA_POINTS * P_POINTS - 1 + sum(calls.values())
+        (etas, samples), (kept, ps) = (grid.shape for grid in grids)
+        assert (etas, ps) == (ETA_POINTS, P_POINTS) and kept < etas
+        cells = etas * samples + kept * (ps - samples)
+        assert result.iterations == cells + calls["rate"] + calls["slope"]
+
+    @pytest.mark.parametrize("optimize", [optimize_r2, optimize_r2_truncated])
+    def test_grid_rates_under_a_third_of_its_cells(self, optimize):
+        # a structural budget, not a timing: the coarse pass rules out all
+        # but a few dozen eta rows, and the call takes about 5,000 and 5,600
+        # iterations at 17 deg, against about 24,400 with the full grid
+        assert optimize(deg(17)).iterations < 8_000
+
+    def test_grid_tie_across_rows_goes_to_the_earlier_row(self):
+        # the best row copied to a row before and after it: an exact tie
+        # across rows, which the full grid's argmax gives to the earlier
+        ps = np.linspace(0.0, 0.5, P_POINTS)
+        probs = _ideal_conditional_probs(math.radians(17))(np.array(GRID_ETAS))
+        gi, pi, _ = _grid_best_cell(probs, ps)
+        for other in (gi - 7, gi + 7):
+            tied = probs.copy()
+            tied[other] = probs[gi]
+            full = _symmetric_prior_rates(tied, ps)
+            assert full[other, pi] == full[gi, pi] == full.max()
+            assert _grid_best_cell(tied, ps)[:2] == (min(gi, other), pi)
+
+    def test_grid_with_a_nan_is_the_full_grid(self):
+        # a NaN probability makes its whole row NaN, which the full grid's
+        # argmax picks; the coarse pass then keeps every row
+        ps = np.linspace(0.0, 0.5, P_POINTS)
+        probs = _trunc_conditional_probs(math.radians(17))(np.array(GRID_ETAS))
+        probs[150, 1, 2] = math.nan
+        full = _symmetric_prior_rates(probs, ps)
+        best = np.unravel_index(np.argmax(full), full.shape)
+        assert best == (150, 0)
+        assert _grid_best_cell(probs, ps) == (*best, full.size)
 
     def test_not_converged_when_the_maximum_leaves_the_box(self):
         # the search's float etas see the profile shifted by 0.2 rad, so its
@@ -251,7 +300,7 @@ def assert_prior_is_the_argmax(rows, p):
     terms, counting (a + b + 2c) (|log2 m| + 2) for d log2 m, whose d and m
     round.  At 1e-3 deg that admits p about 3e-8 from the exact root."""
     if p == 0.5:
-        assert _symmetric_prior_slope(rows, p)[0] >= 0.0
+        assert _symmetric_prior_slope(rows)(p)[0] >= 0.0
         return
     with mpmath.workdps(40):
         xlog2x = lambda x: x * mpmath.log(x, 2) if x else 0  # noqa: E731
@@ -277,9 +326,10 @@ class TestSymmetricPriorSearch:
         # and the curvature is the slope's derivative
         rows, h = conditional_probs_at(gamma)(eta), 1e-7
         central = (_symmetric_prior_rate(rows, p + h) - _symmetric_prior_rate(rows, p - h)) / h
-        slope, curvature = _symmetric_prior_slope(rows, p)
+        slope, curvature = _symmetric_prior_slope(rows)(p)
         assert slope == pytest.approx(central, rel=1e-6, abs=1e-8)
-        (up, _), (down, _) = _symmetric_prior_slope(rows, p + h), _symmetric_prior_slope(rows, p - h)
+        (up, _), (down, _) = (_symmetric_prior_slope(rows)(p + h),
+                              _symmetric_prior_slope(rows)(p - h))
         assert curvature == pytest.approx((up - down) / (2 * h), rel=1e-6, abs=1e-6)
 
     @given(rows=probability_rows, p=priors)
@@ -300,7 +350,7 @@ class TestSymmetricPriorSearch:
                     slope += math.copysign(math.inf, d)
             return slope, curvature
 
-        assert same_bits(_symmetric_prior_slope(rows, p), generator_slope(rows, p))
+        assert same_bits(_symmetric_prior_slope(rows)(p), generator_slope(rows, p))
 
     @pytest.mark.parametrize("gamma_rad", [1e-12, 1e-9])
     def test_no_bisection_into_the_subnormals(self, gamma_rad):
@@ -313,7 +363,7 @@ class TestSymmetricPriorSearch:
         # the third outcome never fires for c, the fourth only for c: their
         # mixtures vanish at p = 0 and p = 0.5
         rows = [(0.5, 0.0, 0.25), (0.0, 0.5, 0.25), (0.5, 0.5, 0.0), (0.0, 0.0, 0.5)]
-        assert [_symmetric_prior_slope(rows, p)[0] for p in (0.0, 0.5)] == [math.inf, -math.inf]
+        assert [_symmetric_prior_slope(rows)(p)[0] for p in (0.0, 0.5)] == [math.inf, -math.inf]
         for start in (0.0, 0.1, 0.25, 0.4, 0.5):
             p, _ = _symmetric_prior_argmax(rows, start)
             assert 0.0 < p < 0.5
