@@ -136,8 +136,8 @@ def write_csv(table: SweepTable, stream) -> None:
 
 def read_csv(path) -> SweepTable:
     """Parse a table written by write_csv; raises ValueError for a file with
-    no header or no data row, a header that repeats a name, and a row whose
-    field count is not the header's."""
+    no header or no data row, a header that does not start with gamma_deg or
+    repeats a name, and a row whose field count is not the header's."""
     provenance = ""
     header: list[str] = []
     rows: list[list[float]] = []
@@ -152,6 +152,8 @@ def read_csv(path) -> SweepTable:
             fields = line.split(",")
             if not header:
                 header = fields
+                if header[0] != "gamma_deg":
+                    raise ValueError(f"{path}: the header starts with {header[0]!r}, not gamma_deg")
                 if len(set(header)) != len(header):
                     raise ValueError(f"{path}: the header repeats a column name: {line}")
                 continue

@@ -161,6 +161,8 @@ def empirical_mi(counts: JointCounts) -> float:
 def bootstrap_standard_error(counts: JointCounts, resamples: int = 100, seed: int = 0) -> float:
     """Standard error of the empirical mutual information by multinomial
     resampling of the joint cells."""
+    if counts.total < 1:
+        raise ValueError("need at least one count")
     _check_whole("resamples", resamples, 2)
     _check_whole("seed", seed, 0)
     probs = counts.counts.ravel() / counts.total

@@ -34,7 +34,7 @@ P_POINTS = 101  # over [0, 0.5]
 ETA_XATOL = 1e-8  # the eta search stops when its inner points are this close
 # The grid's coarse pass rates every P_STRIDE-th p, the largest divisor of
 # P_POINTS - 1 not above its square root, so that its samples end at both
-# p = 0 and 0.5.  A row is left out of the fine pass when its rate is
+# p = 0 and 0.5.  A cell is left out of the fine pass when its rate is
 # certified GRID_MARGIN below the best sample: hundreds of times the rate
 # kernel's rounding, about 4e-15.  Neither changes a result.
 P_STRIDE = next(s for s in range(math.isqrt(P_POINTS - 1), 0, -1) if (P_POINTS - 1) % s == 0)
@@ -44,17 +44,6 @@ ANSATZ_HYPERPARAMS = {
     "p_points": float(P_POINTS),
     "eta_xatol": ETA_XATOL,
 }
-
-# glibc's malloc raises its mmap threshold to the size of the largest
-# mmap-ed block freed so far, and its heap-trim threshold to twice that
-# (mallopt(3)).  Until some block that large is freed, the grid search's
-# temporaries go back to the system at the end of each call and are
-# page-faulted in again by the next, which cost about a fifth of a sweep's
-# time when every call rated the full grid.  They still reach about 1.3 MB
-# per call where the coarse pass drops few eta rows, mostly below about
-# 2 deg; elsewhere they peak at 0.2-0.4 MB.  So one 2 MiB block is
-# allocated and freed at import.
-np.empty(1 << 18)
 
 
 def _givens_pairs() -> tuple[tuple[int, int], ...]:
@@ -353,12 +342,13 @@ def _grid_best_cell(probs: np.ndarray, ps: np.ndarray) -> tuple[int, int, int]:
     samples k and k + 1 of a row it is at most f_k + max(f_k - f_{k-1}, 0),
     the chord through samples k - 1 and k carried on, and at most
     f_{k+1} + max(f_{k+1} - f_{k+2}, 0) from the other side; the first and
-    last interval have one side.  A row whose largest such bound lies
-    GRID_MARGIN below the best sample cannot hold the best cell, and only the
-    other rows, in order, are rated at every p.  The kernel is elementwise,
-    so their cells, and with them the maximum and its tie rule, are those of
-    the full grid.  A NaN anywhere among the samples keeps every row, so the
-    argmax is then the full grid's too.
+    last interval have one side.  An interval bounded GRID_MARGIN below the
+    best sample cannot hold the best cell, so the fine pass rates only the
+    rows with an interval left open, at every p of the window from the first
+    open interval of any row to the last.  The kernel is elementwise, so
+    these cells, and with them the maximum and its tie rule, are those of
+    the full grid.  A NaN anywhere among the samples leaves every interval
+    open, so the argmax is then the full grid's too.
     """
     coarse = _symmetric_prior_rates(probs, ps[::P_STRIDE])
     step = np.diff(coarse, axis=1)
@@ -366,11 +356,13 @@ def _grid_best_cell(probs: np.ndarray, ps: np.ndarray) -> tuple[int, int, int]:
     # column k bounds interval k from samples k - 1 and k, and from k + 1 and k + 2
     from_left = np.hstack([ends, inner + np.maximum(step[:, :-1], 0.0)])
     from_right = np.hstack([inner + np.maximum(-step[:, 1:], 0.0), ends])
-    bounds = np.minimum(from_left, from_right).max(axis=1)
-    kept = np.flatnonzero(~(bounds + GRID_MARGIN < coarse.max()))
-    fine = _symmetric_prior_rates(probs[kept], ps)
+    live = ~(np.minimum(from_left, from_right) + GRID_MARGIN < coarse.max())
+    kept, intervals = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
+    lo, hi = int(intervals[0]), int(intervals[-1]) + 1  # the coarse samples that end the window
+    fine = _symmetric_prior_rates(probs[kept], ps[P_STRIDE * lo:P_STRIDE * hi + 1])
     row, pi = np.unravel_index(int(np.argmax(fine)), fine.shape)
-    return int(kept[row]), int(pi), coarse.size + len(kept) * (len(ps) - coarse.shape[1])
+    cells = coarse.size + len(kept) * (hi - lo) * (P_STRIDE - 1)
+    return int(kept[row]), P_STRIDE * lo + int(pi), cells
 
 
 def _grid_then_refine(conditional_probs_at: Callable[[float], Callable],
@@ -381,9 +373,9 @@ def _grid_then_refine(conditional_probs_at: Callable[[float], Callable],
 
     The best cell of an ETA_POINTS x P_POINTS (eta, p) grid (exact ties: the
     smallest eta, then the smallest p, the row-major argmax order) is found
-    by _grid_best_cell, which rates in full only the eta rows that its coarse
-    pass cannot rule out.  A golden-section search (Kiefer 1953), each new
-    point the mirror of the kept one, then maximizes R(eta) =
+    by _grid_best_cell, which rates in full only the rows and the window of
+    p that its coarse pass leaves open.  A golden-section search (Kiefer
+    1953), each new point the mirror of the kept one, then maximizes R(eta) =
     rate(eta, p*(eta)) over two eta cells on either side, with p* from
     _symmetric_prior_argmax warm-started at the previous point's p (the
     first at the cell's).  It stops when its inner points are ETA_XATOL

@@ -138,7 +138,8 @@ class TestSweep:
         ("gamma_deg,c1\n10,0.1,0.2\n", "3 fields, the header 2"),
         ("gamma_deg,c1,cinf\n10,0.1\n", "2 fields, the header 3"),
         ("gamma_deg,c1,c1\n10,0.1,0.2\n", "repeats a column name"),
-    ], ids=["empty", "header_only", "wide_row", "narrow_row", "repeated_name"])
+        ("x,a\n1,2\n", "bad.csv: the header starts with 'x', not gamma_deg"),
+    ], ids=["empty", "header_only", "wide_row", "narrow_row", "repeated_name", "no_angle_column"])
     def test_read_csv_rejects_malformed_table(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)

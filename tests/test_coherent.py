@@ -372,7 +372,7 @@ def test_optimizer_values_pinned(gamma_deg, r2, r2trunc, r2trunc_reused):
 @given(gamma_deg=st.floats(0.0, 90.0, exclude_min=True, exclude_max=True),
        conditional_probs_at=st.sampled_from([_ideal_conditional_probs, _trunc_conditional_probs]))
 def test_grid_best_cell_is_the_full_grid_argmax(gamma_deg, conditional_probs_at):
-    # the rows that the coarse pass drops cannot hold the best cell, so the
+    # the cells that the coarse pass drops cannot be the best cell, so the
     # cell and its tie rule are the full grid's
     etas = np.linspace(0.0, math.pi, ETA_POINTS, endpoint=False)
     ps = np.linspace(0.0, 0.5, P_POINTS)

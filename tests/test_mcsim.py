@@ -178,6 +178,11 @@ class TestConsistency:
         with pytest.raises(ValueError, match="resample"):
             bootstrap_standard_error(counts, resamples=1)
 
+    def test_bootstrap_needs_a_count(self):
+        # empirical_mi's rule: an empty table has no cell frequencies to resample
+        with pytest.raises(ValueError, match="need at least one count"):
+            bootstrap_standard_error(JointCounts(counts=np.zeros((2, 2), dtype=int), total=0))
+
     @pytest.mark.parametrize("field, value", [
         ("resamples", 2.5), ("resamples", 3.0), ("resamples", True), ("resamples", -1),
         ("seed", 1.5), ("seed", True), ("seed", -1), ("seed", None)])

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from collections import Counter
 
 import mpmath
@@ -223,16 +224,16 @@ class TestOptimizeR2:
     @pytest.mark.parametrize("optimize", [optimize_r2, optimize_r2_truncated])
     def test_iterations_count_every_evaluation(self, optimize, monkeypatch):
         # the grid's distinct cells: those of its two rate calls, less the
-        # coarse samples that the fine pass rates again; then one float rate
-        # and the prior search's slope evaluations at each point of the eta
-        # search
+        # coarse samples inside the fine pass's window of p, which it rates
+        # again; then one float rate and the prior search's slope evaluations
+        # at each point of the eta search
         grids, calls = [], Counter()
         rates, rate, slope = (twoshot._symmetric_prior_rates, twoshot._symmetric_prior_rate,
                               twoshot._symmetric_prior_slope)
 
         def counted_rates(probs, ps):
-            grids.append(rates(probs, ps))
-            return grids[-1]
+            grids.append((rates(probs, ps), ps))
+            return grids[-1][0]
 
         def counted_slope(rows):
             slope_at = slope(rows)
@@ -243,17 +244,39 @@ class TestOptimizeR2:
                             lambda rows, p: calls.update(["rate"]) or rate(rows, p))
         monkeypatch.setattr(twoshot, "_symmetric_prior_slope", counted_slope)
         result = optimize(deg(12))
-        (etas, samples), (kept, ps) = (grid.shape for grid in grids)
-        assert (etas, ps) == (ETA_POINTS, P_POINTS) and kept < etas
-        cells = etas * samples + kept * (ps - samples)
+        (coarse, samples), (fine, window) = grids
+        (etas, _), (kept, width) = coarse.shape, fine.shape
+        assert etas == ETA_POINTS and kept < etas and width <= P_POINTS
+        cells = coarse.size + kept * (width - np.isin(window, samples).sum())
         assert result.iterations == cells + calls["rate"] + calls["slope"]
 
+    @pytest.mark.parametrize("optimize, gamma_deg", [
+        pytest.param(optimize_r2, 17, id="optimize_r2"),
+        pytest.param(optimize_r2_truncated, 17, id="optimize_r2_truncated"),
+        pytest.param(optimize_r2, 0.5, id="optimize_r2-0.5deg"),
+        pytest.param(optimize_r2_truncated, 0.5, id="optimize_r2_truncated-0.5deg"),
+    ])
+    def test_grid_rates_under_a_third_of_its_cells(self, optimize, gamma_deg):
+        # a structural budget, not a timing: the coarse pass leaves open a
+        # few dozen eta rows at 17 deg, and nearly every row but a narrow
+        # window of p at 0.5 deg; the call takes about 3,300-3,400 and 7,100
+        # iterations there, against about 24,400 with the full grid
+        assert optimize(deg(gamma_deg)).iterations < 8_000
+
     @pytest.mark.parametrize("optimize", [optimize_r2, optimize_r2_truncated])
-    def test_grid_rates_under_a_third_of_its_cells(self, optimize):
-        # a structural budget, not a timing: the coarse pass rules out all
-        # but a few dozen eta rows, and the call takes about 5,000 and 5,600
-        # iterations at 17 deg, against about 24,400 with the full grid
-        assert optimize(deg(17)).iterations < 8_000
+    @pytest.mark.parametrize("gamma_deg", [0.05, 0.5, 1.2, 17, 45])
+    def test_grid_memory_stays_small(self, optimize, gamma_deg):
+        # a structural budget, not a timing: the fine pass holds a few dozen
+        # rows, or nearly every row over a narrow window of p below about
+        # 2 deg, so a call's traced peak is 0.2-0.45 MB; rating those rows
+        # at every p takes about 1.3 MB
+        tracemalloc.start()
+        try:
+            optimize(deg(gamma_deg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 600_000
 
     def test_grid_tie_across_rows_goes_to_the_earlier_row(self):
         # the best row copied to a row before and after it: an exact tie
@@ -270,7 +293,7 @@ class TestOptimizeR2:
 
     def test_grid_with_a_nan_is_the_full_grid(self):
         # a NaN probability makes its whole row NaN, which the full grid's
-        # argmax picks; the coarse pass then keeps every row
+        # argmax picks; the coarse pass then leaves every cell open
         ps = np.linspace(0.0, 0.5, P_POINTS)
         probs = _trunc_conditional_probs(math.radians(17))(np.array(GRID_ETAS))
         probs[150, 1, 2] = math.nan
