@@ -20,7 +20,9 @@ LN2 = math.log(2.0)
 def _xlog2x(p: np.ndarray) -> np.ndarray:
     """Elementwise p * log2(p) with the 0 * log 0 = 0 convention."""
     p = np.asarray(p, dtype=float)
-    return p * np.log2(p, out=np.zeros(p.shape), where=p > 0.0)
+    out = np.log2(p, out=np.zeros(p.shape), where=p > 0.0)
+    out *= p
+    return out
 
 
 def binary_entropy(x: float) -> float:
@@ -161,12 +163,18 @@ def mutual_information(probs: np.ndarray, priors: np.ndarray) -> np.ndarray:
     shape.  No clamping or completeness check: inputs must already be
     nonnegative (squared amplitudes, for instance).
     """
-    # matmul or sum() round differently from einsum in the last bit, which can
-    # move optimize_general's search paths.  The pinned symmetric-family
-    # values do not come through here: they depend on the summation order
-    # written out in twoshot._symmetric_prior_rates.
+    # A last-bit change here can move optimize_general's search paths, so
+    # only reorderings that round identically are allowed.  Negation is exact
+    # and commutes with every product and sum, so keeping the entropies as
+    # sums of x log2 x (<= 0) and subtracting the other way round changes no
+    # bit: (-a) - (-b) = b - a and einsum(-h, w) = -einsum(h, w).  Products
+    # may commute, but the grouping of a sum may not change: the
+    # prior-weighted sum as matmul or as (h * w).sum(-1) rounds differently
+    # from the einsum.  The pinned symmetric-family values do not come
+    # through here: they depend on the summation order written out in
+    # twoshot._symmetric_prior_rates.
     mixture = np.einsum("...kx,...x->...k", probs, priors)
-    h_mixture = -_xlog2x(mixture).sum(axis=-1)
-    h_letters = -_xlog2x(probs).sum(axis=-2)
-    return h_mixture - np.einsum("...x,...x->...", h_letters, priors)
+    mixture_terms = _xlog2x(mixture).sum(axis=-1)  # -H(mixture)
+    letter_terms = _xlog2x(probs).sum(axis=-2)  # -H(letter x), over x
+    return np.einsum("...x,...x->...", letter_terms, priors) - mixture_terms
 

@@ -52,13 +52,17 @@ def _givens_pairs() -> tuple[tuple[int, int], ...]:
 
 
 @functools.cache
-def _givens_layout() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Factor index and plane rows of each Givens factor, and the identity
-    stack, padded to a power of two, that _givens_product fills."""
+def _givens_layout() -> tuple[np.ndarray, ...]:
+    """Factor index and plane rows (i, j) of each Givens factor, the six
+    4 x 4 identities that _givens_product fills, flattened into one row, and
+    the flat positions in that row of each factor's (i, i), (j, j), (i, j)
+    and (j, i) entries, in that order."""
     pairs = _givens_pairs()
+    index = np.arange(len(pairs))
     rows, cols = np.array(pairs, dtype=int).T
-    size = 1 << (len(pairs) - 1).bit_length()
-    layout = (np.arange(len(pairs)), rows, cols, np.eye(4)[None].repeat(size, axis=0))
+    corners = np.concatenate([index * 16 + 4 * r + c
+                              for r, c in ((rows, rows), (cols, cols), (rows, cols), (cols, rows))])
+    layout = (index, rows, cols, np.tile(np.eye(4).ravel(), len(pairs)), corners)
     for part in layout:
         part.flags.writeable = False  # shared by every caller
     return layout
@@ -70,20 +74,23 @@ def _givens_product(angles: np.ndarray) -> np.ndarray:
     by angles[..., k] (row i -> c row_i - s row_j, row j -> s row_i + c row_j);
     the result has shape angles.shape[:-1] + (4, 4).
 
-    The factors, padded with identities to a power of two, are multiplied
-    pairwise, so the product takes three batched matmul calls.
+    One scatter writes (c, c, -s, s) into a stack of identities, and the six
+    factors are multiplied as ((G_0 G_1)(G_2 G_3))(G_4 G_5), three batched
+    matmul calls.  The stack is not padded to a power of two: the pairwise
+    tree that once did so took ((G_0 G_1)(G_2 G_3))((G_4 G_5) I), and a
+    product with the identity is exact, since each entry gains only exact
+    zeros, so both trees give the same bits.
     """
     angles = np.asarray(angles, dtype=float)
-    index, rows, cols, identities = _givens_layout()
-    factors = np.broadcast_to(identities, angles.shape[:-1] + identities.shape).copy()
+    _, _, _, identities, corners = _givens_layout()
+    lead = angles.shape[:-1]
     c, s = np.cos(angles), np.sin(angles)
-    factors[..., index, rows, rows] = c
-    factors[..., index, cols, cols] = c
-    factors[..., index, rows, cols] = -s
-    factors[..., index, cols, rows] = s
-    while factors.shape[-3] > 1:
-        factors = factors[..., 0::2, :, :] @ factors[..., 1::2, :, :]
-    return factors[..., 0, :, :]
+    factors = np.empty(lead + identities.shape)
+    factors[...] = identities
+    factors[..., corners] = np.concatenate((c, c, -s, s), axis=-1)
+    factors = factors.reshape(lead + (-1, 4, 4))
+    pairs = factors[..., 0::2, :, :] @ factors[..., 1::2, :, :]
+    return (pairs[..., 0, :, :] @ pairs[..., 1, :, :]) @ pairs[..., 2, :, :]
 
 
 def _rotation_angles(matrix: np.ndarray) -> list[float]:
@@ -456,9 +463,12 @@ def _letters_matrix(gamma: Angle) -> np.ndarray:
 
 def _general_priors(theta: np.ndarray) -> np.ndarray:
     """Letter priors: the softmax of the logits (0, theta[..., 6:9])."""
-    logits = np.concatenate([np.zeros(theta.shape[:-1] + (1,)), theta[..., 6:9]], axis=-1)
-    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return w / w.sum(axis=-1, keepdims=True)
+    w = np.zeros(theta.shape[:-1] + (4,))
+    w[..., 1:] = theta[..., 6:9]
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 def _general_rates(theta: np.ndarray, letters: np.ndarray) -> np.ndarray:
@@ -469,8 +479,18 @@ def _general_rates(theta: np.ndarray, letters: np.ndarray) -> np.ndarray:
     measurement vectors), theta[..., 6:9] are prior logits relative to
     letter a.
     """
-    probs = (_givens_product(theta[..., :6]) @ letters.T) ** 2  # (..., outcome, letter)
+    amps = _givens_product(theta[..., :6]) @ letters.T  # (..., outcome, letter)
+    probs = np.square(amps, out=amps)
     return mutual_information(probs, _general_priors(theta)) / 2.0
+
+
+@functools.cache
+def _prefix_mask() -> np.ndarray:
+    """Row k keeps angles 0..k, so _givens_product of the masked angles gives
+    the prefix products V_0 ... V_5 = U.  Built on first use, not at import."""
+    mask = np.tri(len(_givens_pairs()), dtype=bool)
+    mask.flags.writeable = False  # shared by every caller
+    return mask
 
 
 def _rate_and_gradient(theta: np.ndarray, letters: np.ndarray) -> tuple[float, np.ndarray]:
@@ -484,25 +504,32 @@ def _rate_and_gradient(theta: np.ndarray, letters: np.ndarray) -> tuple[float, n
     W = dI/dA = 2 A dI/dP.  The logit derivatives chain dI/dpi through the
     softmax.
     """
-    # row k keeps angles 0..k, so the batch holds V_0 ... V_5 = U
-    prefixes = _givens_product(np.where(np.tri(6, dtype=bool), theta[:6], 0.0))
+    prefixes = _givens_product(np.where(_prefix_mask(), theta[:6], 0.0))
     amps = prefixes[-1] @ letters.T  # (outcome, letter)
     probs = amps**2
     priors = _general_priors(theta)
     value = float(mutual_information(probs, priors)) / 2.0
 
-    mixture = probs @ priors
-    live = (probs > 0.0) & (mixture[:, None] > 0.0)
-    ratio = np.divide(probs, mixture[:, None], out=np.ones_like(probs), where=live)
-    log_ratio = np.log2(ratio)  # zero where P_kx or m_k vanishes, whose terms drop out
-    d_priors = (probs * (log_ratio - 1.0 / LN2)).sum(axis=0)
+    mixture = (probs @ priors)[:, None]
+    live = (probs > 0.0) & (mixture > 0.0)
+    # zero where P_kx or m_k vanishes, whose terms drop out
+    log_ratio = np.divide(probs, mixture, out=np.ones(probs.shape), where=live)
+    np.log2(log_ratio, out=log_ratio)
+    d_priors = log_ratio - 1.0 / LN2
+    d_priors *= probs
+    d_priors = d_priors.sum(axis=0)
     d_logits = priors * (d_priors - priors @ d_priors)
 
-    d_amps = 2.0 * amps * priors * log_ratio
+    d_amps = 2.0 * amps
+    d_amps *= priors
+    d_amps *= log_ratio
     skew = amps @ d_amps.T - d_amps @ amps.T
-    index, rows, cols, _ = _givens_layout()
-    d_angles = np.einsum("ka,ab,kb->k", prefixes[index, :, rows], skew, prefixes[index, :, cols])
-    return value, np.concatenate([d_angles, d_logits[1:]]) / 2.0
+    index, rows, cols, _, _ = _givens_layout()
+    gradient = np.empty(9)
+    gradient[:6] = np.einsum("ka,ab,kb->k", prefixes[index, :, rows], skew, prefixes[index, :, cols])
+    gradient[6:] = d_logits[1:]
+    gradient /= 2.0
+    return value, gradient
 
 
 def _product_measurement_start(gamma: Angle) -> np.ndarray:
@@ -547,21 +574,28 @@ def _anneal_lockstep(x: np.ndarray, letters: np.ndarray, rng: np.random.Generato
     """Metropolis chains from the rows of x[R, 9], advanced in lockstep: one
     batched rate call per proposal step, acceptance decided row by row.
     Returns each chain's best point and rate."""
+    x = x.copy()
     f = _general_rates(x, letters)
     best_x, best_f = x.copy(), f.copy()
     temperature = t0
     for _ in range(LEVELS):
         scale = STEP_SCALE * max(temperature / t0, 0.05)
         for _ in range(PROPOSALS_PER_LEVEL):
-            candidate = x + rng.normal(scale=scale, size=x.shape)
+            candidate = rng.normal(scale=scale, size=x.shape)
+            candidate += x
             fc = _general_rates(candidate, letters)
-            chance = np.exp(np.minimum(fc - f, 0.0) / temperature)
-            accept = (fc >= f) | (rng.random(f.size) < chance)
-            x = np.where(accept[:, None], candidate, x)
-            f = np.where(accept, fc, f)
+            # exp(min(fc - f, 0) / T): a move with fc >= f has chance exp(0) = 1,
+            # above every rng.random() draw, so it is always accepted
+            chance = fc - f
+            np.minimum(chance, 0.0, out=chance)
+            chance /= temperature
+            np.exp(chance, out=chance)
+            accept = rng.random(f.size) < chance
+            np.copyto(x, candidate, where=accept[:, None])
+            np.copyto(f, fc, where=accept)
             improved = f > best_f
-            best_x = np.where(improved[:, None], x, best_x)
-            best_f = np.where(improved, f, best_f)
+            np.copyto(best_x, x, where=improved[:, None])
+            np.copyto(best_f, f, where=improved)
         temperature *= COOLING
     return best_x, best_f
 
@@ -626,7 +660,10 @@ def optimize_general(gamma: Angle, seed: int, ideal: RateResult | None = None) -
             "levels": float(LEVELS),
             "proposals_per_level": float(PROPOSALS_PER_LEVEL),
             "step_scale": STEP_SCALE,
+            "polish_candidates": float(POLISH_CANDIDATES),
+            "polish_maxiter": float(POLISH_MAXITER),
             "polish_ftol": POLISH_FTOL,
+            "polish_gtol": POLISH_GTOL,
             "initial_temperature": t0,
             "seed": float(seed),
         },

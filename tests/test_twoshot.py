@@ -493,7 +493,8 @@ class TestOptimizeGeneral:
         assert result.iterations == iterations
         assert result.hyperparams == {
             "restarts": 20.0, "cooling": 0.97, "temperature_samples": 100.0, "levels": 100.0,
-            "proposals_per_level": 12.0, "step_scale": 0.35, "polish_ftol": 1e-13,
+            "proposals_per_level": 12.0, "step_scale": 0.35, "polish_candidates": 6.0,
+            "polish_maxiter": 500.0, "polish_ftol": 1e-13, "polish_gtol": 1e-10,
             "initial_temperature": temperature, "seed": float(seed),
         }
 
@@ -544,7 +545,9 @@ class TestGeneralRateKernel:
         thetas = random_thetas(rng, 24)
         batch = _general_rates(thetas.reshape(4, 6, 9), letters).ravel()
         rows = np.array([_general_rates(theta, letters) for theta in thetas])
-        assert np.abs(batch - rows).max() <= 1e-15
+        # annealing and the polish compare these rates, so they must agree
+        # bit for bit, not merely closely
+        assert np.array_equal(batch, rows)
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(47)
@@ -553,11 +556,150 @@ class TestGeneralRateKernel:
             letters = _letters_matrix(deg(gamma_deg))
             for theta in random_thetas(rng, 8):
                 value, gradient = _rate_and_gradient(theta, letters)
-                assert value == pytest.approx(_general_rates(theta, letters), abs=1e-15)
+                assert value == _general_rates(theta, letters)
                 shifts = step * np.eye(9)
                 central = (_general_rates(theta + shifts, letters)
                            - _general_rates(theta - shifts, letters)) / (2 * step)
                 assert np.abs(gradient - central).max() < 1e-7
+
+
+def padded_givens_product(angles):
+    """G_0 ... G_5 as four fancy assignments into a stack of eight
+    identities, multiplied pairwise in three levels: the plain form that
+    _givens_product must reproduce bit for bit."""
+    angles = np.asarray(angles, dtype=float)
+    rows, cols = np.array(twoshot._givens_pairs()).T
+    index = np.arange(6)
+    factors = np.broadcast_to(np.eye(4), angles.shape[:-1] + (8, 4, 4)).copy()
+    c, s = np.cos(angles), np.sin(angles)
+    factors[..., index, rows, rows] = c
+    factors[..., index, cols, cols] = c
+    factors[..., index, rows, cols] = -s
+    factors[..., index, cols, rows] = s
+    while factors.shape[-3] > 1:
+        factors = factors[..., 0::2, :, :] @ factors[..., 1::2, :, :]
+    return factors[..., 0, :, :]
+
+
+def concatenated_softmax(theta):
+    logits = np.concatenate([np.zeros(theta.shape[:-1] + (1,)), theta[..., 6:9]], axis=-1)
+    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def negated_mutual_information(probs, priors):
+    """H(mixture) - sum_x prior_x H(letter x) with each entropy negated."""
+    def xlog2x(p):
+        return p * np.log2(p, out=np.zeros(p.shape), where=p > 0.0)
+
+    mixture = np.einsum("...kx,...x->...k", probs, priors)
+    h_mixture = -xlog2x(mixture).sum(axis=-1)
+    h_letters = -xlog2x(probs).sum(axis=-2)
+    return h_mixture - np.einsum("...x,...x->...", h_letters, priors)
+
+
+def plain_rates(theta, letters):
+    probs = (padded_givens_product(theta[..., :6]) @ letters.T) ** 2
+    return negated_mutual_information(probs, concatenated_softmax(theta)) / 2.0
+
+
+def plain_rate_and_gradient(theta, letters):
+    prefixes = padded_givens_product(np.where(np.tri(6, dtype=bool), theta[:6], 0.0))
+    amps = prefixes[-1] @ letters.T
+    probs = amps**2
+    priors = concatenated_softmax(theta)
+    value = float(negated_mutual_information(probs, priors)) / 2.0
+    mixture = probs @ priors
+    live = (probs > 0.0) & (mixture[:, None] > 0.0)
+    ratio = np.divide(probs, mixture[:, None], out=np.ones_like(probs), where=live)
+    log_ratio = np.log2(ratio)
+    d_priors = (probs * (log_ratio - 1.0 / math.log(2.0))).sum(axis=0)
+    d_logits = priors * (d_priors - priors @ d_priors)
+    d_amps = 2.0 * amps * priors * log_ratio
+    skew = amps @ d_amps.T - d_amps @ amps.T
+    rows, cols = np.array(twoshot._givens_pairs()).T
+    index = np.arange(6)
+    d_angles = np.einsum("ka,ab,kb->k", prefixes[index, :, rows], skew, prefixes[index, :, cols])
+    return value, np.concatenate([d_angles, d_logits[1:]]) / 2.0
+
+
+def where_anneal(x, letters, rng, t0):
+    """The lockstep Metropolis chains with fresh np.where arrays each step
+    and the uphill test spelled out."""
+    f = plain_rates(x, letters)
+    best_x, best_f = x.copy(), f.copy()
+    temperature = t0
+    for _ in range(twoshot.LEVELS):
+        scale = twoshot.STEP_SCALE * max(temperature / t0, 0.05)
+        for _ in range(twoshot.PROPOSALS_PER_LEVEL):
+            candidate = x + rng.normal(scale=scale, size=x.shape)
+            fc = plain_rates(candidate, letters)
+            chance = np.exp(np.minimum(fc - f, 0.0) / temperature)
+            accept = (fc >= f) | (rng.random(f.size) < chance)
+            x = np.where(accept[:, None], candidate, x)
+            f = np.where(accept, fc, f)
+            improved = f > best_f
+            best_x = np.where(improved[:, None], x, best_x)
+            best_f = np.where(improved, f, best_f)
+        temperature *= twoshot.COOLING
+    return best_x, best_f
+
+
+def same_array_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestKernelMatchesPlainForms:
+    """The probe's kernels against their plain forms, bit for bit: a
+    last-bit change moves optimize_general's search paths (see the FOUND
+    line on optimize_general at 13.57 deg in CHANGES.md)."""
+
+    ANGLES = (0.5, 10.0, 47.0, 89.0)
+
+    @pytest.mark.parametrize("gamma_deg", ANGLES)
+    def test_givens_product(self, gamma_deg):
+        rng = np.random.default_rng(int(gamma_deg * 10))
+        angles = random_thetas(rng, 60)[:, :6]
+        assert same_array_bits(_givens_product(angles), padded_givens_product(angles))
+        assert same_array_bits(_givens_product(angles.reshape(3, 20, 6)),
+                               padded_givens_product(angles).reshape(3, 20, 4, 4))
+        masked = np.where(np.tri(6, dtype=bool), angles[1], 0.0)
+        assert same_array_bits(_givens_product(masked), padded_givens_product(masked))
+
+    @pytest.mark.parametrize("gamma_deg", ANGLES)
+    def test_general_rates(self, gamma_deg):
+        rng = np.random.default_rng(int(gamma_deg * 10) + 1)
+        letters = _letters_matrix(deg(gamma_deg))
+        thetas = random_thetas(rng, 240)
+        assert same_array_bits(twoshot._general_priors(thetas), concatenated_softmax(thetas))
+        assert same_array_bits(_general_rates(thetas, letters), plain_rates(thetas, letters))
+        assert same_array_bits(_general_rates(thetas[0], letters), plain_rates(thetas[0], letters))
+
+    @pytest.mark.parametrize("gamma_deg", ANGLES)
+    def test_rate_and_gradient(self, gamma_deg):
+        rng = np.random.default_rng(int(gamma_deg * 10) + 2)
+        letters = _letters_matrix(deg(gamma_deg))
+        for theta in random_thetas(rng, 40):
+            value, gradient = _rate_and_gradient(theta, letters)
+            plain_value, plain_gradient = plain_rate_and_gradient(theta, letters)
+            assert float.hex(value) == float.hex(plain_value)
+            assert same_array_bits(gradient, plain_gradient)
+
+    @pytest.mark.parametrize("gamma_deg", ANGLES)
+    def test_anneal_lockstep(self, gamma_deg, monkeypatch):
+        monkeypatch.setattr(twoshot, "LEVELS", 4)
+        letters = _letters_matrix(deg(gamma_deg))
+        x0 = random_thetas(np.random.default_rng(int(gamma_deg * 10) + 3), twoshot.RESTARTS)
+        t0 = float(np.std(plain_rates(x0, letters)))
+        rng, plain_rng = np.random.default_rng(5), np.random.default_rng(5)
+        best_x, best_f = twoshot._anneal_lockstep(x0, letters, rng, t0)
+        plain_x, plain_f = where_anneal(x0.copy(), letters, plain_rng, t0)
+        assert same_array_bits(best_x, plain_x)
+        assert same_array_bits(best_f, plain_f)
+        assert rng.random() == plain_rng.random()  # the same draws were taken
+        assert np.array_equal(x0, random_thetas(np.random.default_rng(int(gamma_deg * 10) + 3),
+                                                twoshot.RESTARTS))  # the start is not written
 
 
 class TestSuperadditivityRegion:
