@@ -76,10 +76,9 @@ def _givens_product(angles: np.ndarray) -> np.ndarray:
 
     One scatter writes (c, c, -s, s) into a stack of identities, and the six
     factors are multiplied as ((G_0 G_1)(G_2 G_3))(G_4 G_5), three batched
-    matmul calls.  The stack is not padded to a power of two: the pairwise
-    tree that once did so took ((G_0 G_1)(G_2 G_3))((G_4 G_5) I), and a
-    product with the identity is exact, since each entry gains only exact
-    zeros, so both trees give the same bits.
+    matmul calls.  The stack is not padded to a power of two: a product with
+    the identity is exact, since each entry gains only exact zeros, so
+    padding would add matmuls without changing a bit.
     """
     angles = np.asarray(angles, dtype=float)
     _, _, _, identities, corners = _givens_layout()
