@@ -188,8 +188,6 @@ def cmd_crossover(which: str) -> int:
 
 def cmd_mc(gamma_deg: float, samples: int, seed: int) -> int:
     """Monte Carlo check of the optimal two-shot rate at one angle."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
     gamma = _angle(gamma_deg)
     result = twoshot.optimize_r2(gamma)
     eta, p = result.params["eta"], result.params["p"]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacities import LN2, Ensemble, _born_probabilities, _xlog2x
-from .statespace import MeasurementBasis
+from .statespace import MeasurementBasis, _check_whole
 
 BLOCK_SIZE = 250_000  # trials per child stream of the master seed
 
@@ -46,12 +46,6 @@ class SimConfig:
     def outcome_probabilities(self) -> np.ndarray:
         """P[letter, outcome] under the Born rule."""
         return _born_probabilities(self.ensemble, self.basis).T
-
-
-def _check_whole(name: str, value, least: int) -> None:
-    """value is a Python or numpy integer, not a bool, and at least least."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,12 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _check_whole(name: str, value, least: int) -> None:
+    """value is a Python or numpy integer, not a bool, and at least least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Angle:
     """Overlap angle between the two alphabet states, stored in radians.

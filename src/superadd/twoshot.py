@@ -24,7 +24,8 @@ import numpy as np
 
 from .capacities import LN2, Ensemble, RateResult, _xlog2x, c1, mutual_information
 from .errors import BracketingError
-from .statespace import Angle, MeasurementBasis, StateVector, two_shot_alphabet
+from .statespace import (Angle, MeasurementBasis, StateVector, _check_whole, _frozen,
+                         two_shot_alphabet)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -39,6 +40,8 @@ ETA_XATOL = 1e-8  # the eta search stops when its inner points are this close
 # kernel's rounding, about 4e-15.  Neither changes a result.
 P_STRIDE = next(s for s in range(math.isqrt(P_POINTS - 1), 0, -1) if (P_POINTS - 1) % s == 0)
 GRID_MARGIN = 1e-12
+_GRID_ETAS = _frozen(np.linspace(0.0, math.pi, ETA_POINTS, endpoint=False))
+_GRID_PS = _frozen(np.linspace(0.0, 0.5, P_POINTS))
 ANSATZ_HYPERPARAMS = {
     "eta_points": float(ETA_POINTS),
     "p_points": float(P_POINTS),
@@ -46,31 +49,27 @@ ANSATZ_HYPERPARAMS = {
 }
 
 
-def _givens_pairs() -> tuple[tuple[int, int], ...]:
-    """Adjacent-row plane sequence able to reach every rotation of SO(4)."""
-    return tuple((row - 1, row) for col in range(3) for row in range(3, col, -1))
-
-
-@functools.cache
-def _givens_layout() -> tuple[np.ndarray, ...]:
-    """Factor index and plane rows (i, j) of each Givens factor, the six
-    4 x 4 identities that _givens_product fills, flattened into one row, and
-    the flat positions in that row of each factor's (i, i), (j, j), (i, j)
-    and (j, i) entries, in that order."""
-    pairs = _givens_pairs()
-    index = np.arange(len(pairs))
-    rows, cols = np.array(pairs, dtype=int).T
-    corners = np.concatenate([index * 16 + 4 * r + c
-                              for r, c in ((rows, rows), (cols, cols), (rows, cols), (cols, rows))])
-    layout = (index, rows, cols, np.tile(np.eye(4).ravel(), len(pairs)), corners)
-    for part in layout:
-        part.flags.writeable = False  # shared by every caller
-    return layout
+# The adjacent-row plane sequence able to reach every rotation of SO(4), and
+# the read-only tables built from it once: each factor's index and plane
+# rows (i, j), the six 4 x 4 identities that _givens_product fills, flattened
+# into one row, the flat positions in that row of each factor's (i, i),
+# (j, j), (i, j) and (j, i) entries, in that order, and the mask whose row k
+# keeps angles 0..k, so that _givens_product of the masked angles gives the
+# prefix products V_0 ... V_5 = U.
+_GIVENS_PAIRS = tuple((row - 1, row) for col in range(3) for row in range(3, col, -1))
+_GIVENS_INDEX = _frozen(range(len(_GIVENS_PAIRS)), dtype=int)
+_GIVENS_ROWS, _GIVENS_COLS = _frozen(_GIVENS_PAIRS, dtype=int).T
+_GIVENS_IDENTITIES = _frozen(np.tile(np.eye(4).ravel(), len(_GIVENS_PAIRS)))
+_GIVENS_CORNERS = _frozen(np.concatenate([
+    _GIVENS_INDEX * 16 + 4 * r + c
+    for r, c in ((_GIVENS_ROWS, _GIVENS_ROWS), (_GIVENS_COLS, _GIVENS_COLS),
+                 (_GIVENS_ROWS, _GIVENS_COLS), (_GIVENS_COLS, _GIVENS_ROWS))]), dtype=int)
+_PREFIX_MASK = _frozen(np.tri(len(_GIVENS_PAIRS)), dtype=bool)
 
 
 def _givens_product(angles: np.ndarray) -> np.ndarray:
     """Rotation matrices G_0 G_1 ... G_5 over the leading axes of
-    angles[..., 6], where G_k turns the plane _givens_pairs()[k] = (i, j)
+    angles[..., 6], where G_k turns the plane _GIVENS_PAIRS[k] = (i, j)
     by angles[..., k] (row i -> c row_i - s row_j, row j -> s row_i + c row_j);
     the result has shape angles.shape[:-1] + (4, 4).
 
@@ -81,12 +80,11 @@ def _givens_product(angles: np.ndarray) -> np.ndarray:
     padding would add matmuls without changing a bit.
     """
     angles = np.asarray(angles, dtype=float)
-    _, _, _, identities, corners = _givens_layout()
     lead = angles.shape[:-1]
     c, s = np.cos(angles), np.sin(angles)
-    factors = np.empty(lead + identities.shape)
-    factors[...] = identities
-    factors[..., corners] = np.concatenate((c, c, -s, s), axis=-1)
+    factors = np.empty(lead + _GIVENS_IDENTITIES.shape)
+    factors[...] = _GIVENS_IDENTITIES
+    factors[..., _GIVENS_CORNERS] = np.concatenate((c, c, -s, s), axis=-1)
     factors = factors.reshape(lead + (-1, 4, 4))
     pairs = factors[..., 0::2, :, :] @ factors[..., 1::2, :, :]
     return (pairs[..., 0, :, :] @ pairs[..., 1, :, :]) @ pairs[..., 2, :, :]
@@ -95,7 +93,7 @@ def _givens_product(angles: np.ndarray) -> np.ndarray:
 def _rotation_angles(matrix: np.ndarray) -> list[float]:
     """The angles t with _givens_product(t) = matrix, for a 4 x 4 rotation.
 
-    Each plane (i, j) of _givens_pairs() in turn rotates rows i and j of the
+    Each plane (i, j) of _GIVENS_PAIRS in turn rotates rows i and j of the
     working copy to zero its entry (j, col) below the diagonal, and the
     plane (col, col + 1) is the last one of column col, so the copy ends as
     the identity.  A rotation factors uniquely this way, up to angle
@@ -106,7 +104,7 @@ def _rotation_angles(matrix: np.ndarray) -> list[float]:
         raise ValueError("only rotations (det +1) factor into plane rotations")
     angles = []
     col = 0
-    for i, j in _givens_pairs():
+    for i, j in _GIVENS_PAIRS:
         t = math.atan2(work[j, col], work[i, col])
         c, s = math.cos(t), math.sin(t)
         upper, lower = work[i].copy(), work[j]
@@ -391,12 +389,10 @@ def _grid_then_refine(conditional_probs_at: Callable[[float], Callable],
     the slope evaluations.
     """
     conditional_probs = conditional_probs_at(_check_open_range(gamma))
-    etas = np.linspace(0.0, math.pi, ETA_POINTS, endpoint=False)
-    ps = np.linspace(0.0, 0.5, P_POINTS)
-    gi, pi, cells = _grid_best_cell(conditional_probs(etas), ps)
+    gi, pi, cells = _grid_best_cell(conditional_probs(_GRID_ETAS), _GRID_PS)
     d_eta = math.pi / ETA_POINTS
-    box = (float(etas[gi] - 2.0 * d_eta), float(etas[gi] + 2.0 * d_eta))
-    p = float(ps[pi])
+    box = (float(_GRID_ETAS[gi] - 2.0 * d_eta), float(_GRID_ETAS[gi] + 2.0 * d_eta))
+    p = float(_GRID_PS[pi])
     evaluated = []  # (rate, eta, p, slope evaluations)
 
     def profile(eta: float) -> float:
@@ -483,15 +479,6 @@ def _general_rates(theta: np.ndarray, letters: np.ndarray) -> np.ndarray:
     return mutual_information(probs, _general_priors(theta)) / 2.0
 
 
-@functools.cache
-def _prefix_mask() -> np.ndarray:
-    """Row k keeps angles 0..k, so _givens_product of the masked angles gives
-    the prefix products V_0 ... V_5 = U.  Built on first use, not at import."""
-    mask = np.tri(len(_givens_pairs()), dtype=bool)
-    mask.flags.writeable = False  # shared by every caller
-    return mask
-
-
 def _rate_and_gradient(theta: np.ndarray, letters: np.ndarray) -> tuple[float, np.ndarray]:
     """_general_rates at one theta[9], with its closed-form gradient.
 
@@ -503,7 +490,9 @@ def _rate_and_gradient(theta: np.ndarray, letters: np.ndarray) -> tuple[float, n
     W = dI/dA = 2 A dI/dP.  The logit derivatives chain dI/dpi through the
     softmax.
     """
-    prefixes = _givens_product(np.where(_prefix_mask(), theta[:6], 0.0))
+    # one batched call: the V_k are also one tree's intermediates, the same
+    # bits, but eight small matmul calls take longer than three batched ones
+    prefixes = _givens_product(np.where(_PREFIX_MASK, theta[:6], 0.0))
     amps = prefixes[-1] @ letters.T  # (outcome, letter)
     probs = amps**2
     priors = _general_priors(theta)
@@ -523,9 +512,9 @@ def _rate_and_gradient(theta: np.ndarray, letters: np.ndarray) -> tuple[float, n
     d_amps *= priors
     d_amps *= log_ratio
     skew = amps @ d_amps.T - d_amps @ amps.T
-    index, rows, cols, _, _ = _givens_layout()
     gradient = np.empty(9)
-    gradient[:6] = np.einsum("ka,ab,kb->k", prefixes[index, :, rows], skew, prefixes[index, :, cols])
+    gradient[:6] = np.einsum("ka,ab,kb->k", prefixes[_GIVENS_INDEX, :, _GIVENS_ROWS], skew,
+                             prefixes[_GIVENS_INDEX, :, _GIVENS_COLS])
     gradient[6:] = d_logits[1:]
     gradient /= 2.0
     return value, gradient
@@ -539,16 +528,14 @@ def _product_measurement_start(gamma: Angle) -> np.ndarray:
     one_shot = np.array(
         [[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]]
     )
-    basis = np.kron(one_shot, one_shot)
-    if np.linalg.det(basis) < 0:
-        basis[0] *= -1.0  # outcome projectors are sign blind
-    angles = _rotation_angles(basis)
+    angles = _rotation_angles(np.kron(one_shot, one_shot))  # a rotation: det(R)^4 = 1
     return np.concatenate([angles, np.zeros(3)])
 
 
-def _ansatz_start(gamma: Angle, ansatz: RateResult) -> np.ndarray:
-    """Parameter vector embedding the symmetric-family optimum."""
-    a, b, c, d = (s.coords for s in two_shot_alphabet(gamma))
+def _ansatz_start(letters: np.ndarray, ansatz: RateResult) -> np.ndarray:
+    """Parameter vector embedding the symmetric-family optimum over the rows
+    (a, b, c, d) of letters."""
+    a, b, c, d = letters
     rows = ansatz_rows(ansatz.params["eta"], a, b, c)
     fourth = d - rows.T @ (rows @ d)
     fourth = fourth / np.linalg.norm(fourth)
@@ -612,23 +599,24 @@ def optimize_general(gamma: Angle, seed: int, ideal: RateResult | None = None) -
     nothing more: the parameterization covers rotations only up to projector
     sign, which is enough because outcomes are rank one.  ideal is
     optimize_r2(gamma), the symmetric-family optimum, computed when omitted.
+    seed, an integer >= 0 (not a bool), is checked before any work.
 
     The only caller of scipy in the package, which it imports on first use:
     the other commands never load it.
     """
     from scipy.optimize import minimize
 
+    _check_whole("seed", seed, 0)
     _check_open_range(gamma)
     letters = _letters_matrix(gamma)
     if ideal is None:
         ideal = optimize_r2(gamma)
-    starts = np.array([_product_measurement_start(gamma), _ansatz_start(gamma, ideal)])
+    starts = np.array([_product_measurement_start(gamma), _ansatz_start(letters, ideal)])
 
     rng = np.random.default_rng(seed)
     samples = _general_rates(_random_thetas(rng, TEMPERATURE_SAMPLES), letters)
     t0 = max(float(np.std(samples)), 1e-12)
-    warm = starts[:RESTARTS]
-    x0 = np.concatenate([warm, _random_thetas(rng, RESTARTS - len(warm))])
+    x0 = np.concatenate([starts, _random_thetas(rng, RESTARTS - len(starts))])
     annealed, annealed_f = _anneal_lockstep(x0, letters, rng, t0)
     evaluations = TEMPERATURE_SAMPLES + RESTARTS * (1 + LEVELS * PROPOSALS_PER_LEVEL)
 

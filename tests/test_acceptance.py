@@ -17,6 +17,7 @@ from scipy.optimize import minimize
 
 from superadd import cli
 from superadd.capacities import Ensemble, c1, c_infinity
+from superadd.coherent import optimize_r2_truncated
 from superadd.mcsim import SimConfig, bootstrap_standard_error, empirical_mi, simulate
 from superadd.statespace import Angle, two_shot_alphabet
 from superadd.twoshot import ansatz_basis, optimize_general, optimize_r2
@@ -53,6 +54,39 @@ def test_criterion_1_small_angle_limit_ratio():
         f"ratios={ {d: round(r, 6) for d, r in ratios.items()} }, "
         f"limit gap at 0.5 deg = {gaps[0]:.2e}, worst point {worst_time:.2f}s",
     )
+
+
+def _mp_limit_ratio():
+    """The small-angle limit of r2/c1, solved independently of the package at
+    40 digits: the maximum of F(u, p) = 2p + 2pA ln A + (1-2p)C ln C - M ln M,
+    A = (u - 1/sqrt2)^2, C = u^2, M = 2pA + (1-2p)C, where its gradient
+    vanishes."""
+    with mpmath.workdps(40):
+        def f(u, p):
+            a, c = (u - 1 / mpmath.sqrt(2)) ** 2, u ** 2
+            m = 2 * p * a + (1 - 2 * p) * c
+            return (2 * p + 2 * p * a * mpmath.log(a) + (1 - 2 * p) * c * mpmath.log(c)
+                    - m * mpmath.log(m))
+
+        def gradient(u, p):
+            return mpmath.diff(f, (u, p), (1, 0)), mpmath.diff(f, (u, p), (0, 1))
+
+        u, p = mpmath.findroot(gradient, (mpmath.mpf("0.756"), mpmath.mpf("0.4695")))
+        return float(f(u, p))
+
+
+def test_small_angle_gap_closes_as_gamma_squared():
+    # Both families approach the limit from below, and the gap divided by
+    # gamma^2 (degrees) holds steady from 2 deg down to 0.05 deg, so the limit
+    # of r2/c1 is F* itself; gate 1's LIMIT_RATIO is its five-digit rounding.
+    limit = _mp_limit_ratio()
+    assert abs(limit - 1.0281785252645) <= 1e-12
+    windows = {optimize_r2: (8.0e-5, 8.7e-5), optimize_r2_truncated: (9.3e-5, 1.01e-4)}
+    for optimizer, (low, high) in windows.items():
+        for gamma_deg in (2.0, 1.0, 0.5, 0.2, 0.1, 0.05):
+            gap = limit - optimizer(deg(gamma_deg)).bits_per_transmission / c1(deg(gamma_deg))
+            assert gap > 0.0, (optimizer.__name__, gamma_deg, gap)
+            assert low <= gap / gamma_deg**2 <= high, (optimizer.__name__, gamma_deg, gap)
 
 
 def test_criterion_2_ansatz_crossover(capsys):

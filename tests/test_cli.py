@@ -50,6 +50,12 @@ class TestPoint:
         assert float(lines[0]) == pytest.approx(c1(Angle.from_degrees(30)), abs=1e-7)
         assert any(line.startswith("p_d = ") for line in lines)
 
+    def test_negative_probe_seed_rejected(self, capsys):
+        code, out, err = run_cli(["point", "--gamma", "10", "--which", "r2gen", "--seed", "-1"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err == "error: seed must be an integer >= 0, got -1\n"
+
     def test_out_of_range_angle(self, capsys):
         code, _, err = run_cli(["point", "--gamma", "95", "--which", "r2"], capsys)
         assert code == 2
@@ -194,6 +200,14 @@ class TestSweep:
             assert run_cli(["sweep", "--from", "10", "--to", "20", "--steps", "3",
                             "--columns", columns, "--out", out], capsys)[0] == 2
 
+    def test_negative_probe_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "seed.csv"
+        code, printed, err = run_cli(["sweep", "--from", "10", "--to", "20", "--steps", "2",
+                                      "--columns", "r2gen", "--out", str(out), "--seed", "-1"],
+                                     capsys)
+        assert code == 2 and printed == "" and not out.exists()
+        assert err == "error: seed must be an integer >= 0, got -1\n"
+
     def test_unwritable_path(self, capsys):
         code, _, err = run_cli(
             ["sweep", "--from", "10", "--to", "20", "--steps", "2",
@@ -235,8 +249,9 @@ class TestMc:
         assert "strictly inside (0, 90)" in err
 
     def test_zero_samples_rejected(self, capsys):
-        code, _, _ = run_cli(["mc", "--gamma", "10", "--samples", "0", "--seed", "1"], capsys)
+        code, _, err = run_cli(["mc", "--gamma", "10", "--samples", "0", "--seed", "1"], capsys)
         assert code == 2
+        assert err == "error: samples must be an integer >= 1, got 0\n"
 
     def test_negative_seed_rejected(self, capsys):
         code, out, err = run_cli(["mc", "--gamma", "10", "--samples", "10", "--seed", "-1"], capsys)

@@ -478,6 +478,21 @@ class TestOptimizeGeneral:
         assert result.hyperparams["restarts"] == 20.0
         assert result.hyperparams["initial_temperature"] > 0
 
+    @pytest.mark.parametrize("seed", [-1, True, False, None, 1.0, 2.5])
+    def test_bad_seed_rejected_before_any_rate(self, seed, monkeypatch):
+        calls = Counter()
+        monkeypatch.setattr(twoshot, "_general_rates",
+                            lambda *args: calls.update(["rates"]) or _general_rates(*args))
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+            optimize_general(deg(10), seed=seed)
+        assert calls["rates"] == 0
+
+    def test_numpy_integer_seed_matches_int(self, monkeypatch):
+        # a Python or numpy integer seed is accepted, and seeds the same run
+        for name in ("RESTARTS", "LEVELS", "PROPOSALS_PER_LEVEL"):
+            monkeypatch.setattr(twoshot, name, 2)
+        assert optimize_general(deg(40), seed=np.int64(3)) == optimize_general(deg(40), seed=3)
+
     # Recorded before the search settings became module constants, so the
     # constants reproduce that search exactly.  A last-bit change in the rate
     # kernel can move the value by about 1e-7 (see the FOUND line on
@@ -512,7 +527,7 @@ def random_thetas(rng, count):
 
 def explicit_rotation(angles):
     """G_0 G_1 ... G_5 from full 4x4 plane rotations in the order of
-    _givens_pairs."""
+    _GIVENS_PAIRS."""
     pairs = [(2, 3), (1, 2), (0, 1), (2, 3), (1, 2), (2, 3)]
     factors = []
     for (i, j), t in zip(pairs, angles):
@@ -568,7 +583,7 @@ def padded_givens_product(angles):
     identities, multiplied pairwise in three levels: the plain form that
     _givens_product must reproduce bit for bit."""
     angles = np.asarray(angles, dtype=float)
-    rows, cols = np.array(twoshot._givens_pairs()).T
+    rows, cols = np.array(twoshot._GIVENS_PAIRS).T
     index = np.arange(6)
     factors = np.broadcast_to(np.eye(4), angles.shape[:-1] + (8, 4, 4)).copy()
     c, s = np.cos(angles), np.sin(angles)
@@ -617,7 +632,7 @@ def plain_rate_and_gradient(theta, letters):
     d_logits = priors * (d_priors - priors @ d_priors)
     d_amps = 2.0 * amps * priors * log_ratio
     skew = amps @ d_amps.T - d_amps @ amps.T
-    rows, cols = np.array(twoshot._givens_pairs()).T
+    rows, cols = np.array(twoshot._GIVENS_PAIRS).T
     index = np.arange(6)
     d_angles = np.einsum("ka,ab,kb->k", prefixes[index, :, rows], skew, prefixes[index, :, cols])
     return value, np.concatenate([d_angles, d_logits[1:]]) / 2.0
