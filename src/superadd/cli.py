@@ -21,7 +21,7 @@ from . import __version__
 from . import coherent, mcsim, twoshot
 from .capacities import RateResult, c1, c_infinity
 from .errors import BracketingError, CompletenessError
-from .statespace import Angle, two_shot_alphabet
+from .statespace import Angle, _check_whole, two_shot_alphabet
 from .sweeps import SweepTable
 
 EXIT_OK = 0
@@ -75,7 +75,10 @@ def cmd_point(gamma_deg: float, which: str, seed: int = 0) -> int:
     """Print one requested quantity, then the optimizing parameters if any."""
     if which not in POINT_CHOICES:
         raise ValueError(f"unknown quantity {which!r}")
-    result = _row_result(which, _angle(gamma_deg), {}, seed)
+    gamma = _angle(gamma_deg)
+    if which == "r2gen":  # before the row's optimize_r2, which the probe reads
+        _check_whole("seed", seed, 0)
+    result = _row_result(which, gamma, {}, seed)
     print(f"{_value(result):.10f}")
     if which == "r2gen":
         print("# lower-bound probe over all four-outcome measurements")
@@ -106,6 +109,8 @@ def sweep_table(from_deg: float, to_deg: float, steps: int, columns: Iterable[st
         raise ValueError(f"unknown sweep columns: {unknown}")
     if not columns or len(set(columns)) != len(columns):
         raise ValueError(f"need distinct sweep columns, at least one, got {columns}")
+    if "r2gen" in columns:
+        _check_whole("seed", seed, 0)
     grid = np.linspace(from_deg, to_deg, steps)
 
     rows = []
@@ -189,6 +194,8 @@ def cmd_crossover(which: str) -> int:
 def cmd_mc(gamma_deg: float, samples: int, seed: int) -> int:
     """Monte Carlo check of the optimal two-shot rate at one angle."""
     gamma = _angle(gamma_deg)
+    _check_whole("samples", samples, 1)  # SimConfig's rules, before the optimizer runs
+    _check_whole("seed", seed, 0)
     result = twoshot.optimize_r2(gamma)
     eta, p = result.params["eta"], result.params["p"]
     ensemble = twoshot._ansatz_ensemble(p, two_shot_alphabet(gamma))

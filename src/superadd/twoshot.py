@@ -1,11 +1,14 @@
 """Two-shot collective measurement rates for the binary alphabet.
 
-The three-outcome measurement family is built directly in an orthonormal
-frame of span{a, b, c}: f1 along the repeated letter c, f2 the symmetric
-combination of a and b orthogonal to c, f3 the antisymmetric combination.
-The frame is exact in the fixed embedding, so the construction stays well
-conditioned down to arbitrarily small overlap angles, where the printed
-expansion coefficients (which divide by sin gamma) do not.
+The three-outcome measurement family lives in an orthonormal frame of
+span{a, b, c} adapted to the a <-> b swap: f1 = |00> along the repeated
+letter c, f2 = (|01> + |10>)/sqrt2 the symmetric combination of a and b
+orthogonal to c, f3 = (|01> - |10>)/sqrt2 the antisymmetric one.  In the
+fixed embedding this frame does not depend on the overlap angle, so the
+family's rows are closed forms in eta alone (ansatz_rows), exact down to
+arbitrarily small angles, where the printed expansion coefficients (which
+divide by sin gamma) are not.  |11> completes the frame to the whole
+two-shot space.
 
 The unconstrained search over the full orthogonal group in the four
 dimensional two-shot span is a lower-bound probe: it ratifies that the
@@ -116,43 +119,31 @@ def _rotation_angles(matrix: np.ndarray) -> list[float]:
     return angles
 
 
-def _symmetric_frame(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Orthonormal frame (f1, f2, f3) of span{a, b, c} adapted to the a<->b swap."""
-    f1 = c / np.linalg.norm(c)
-    sym = a + b
-    f2 = sym - (sym @ f1) * f1
-    f2 = f2 / np.linalg.norm(f2)
-    f3 = a - b
-    f3 = f3 / np.linalg.norm(f3)
-    return np.vstack([f1, f2, f3])
+def ansatz_rows(eta: float) -> np.ndarray:
+    """The symmetric family's three orthonormal measurement vectors.
 
-
-def ansatz_rows(eta: float, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Three orthonormal measurement vectors satisfying the symmetry constraints.
-
-    By construction <c|e3> = cos(eta), e3 has no antisymmetric component
-    (so <a|e3> = <b|e3>), and e1, e2 are the swap-conjugate pair splitting
-    the remaining plane at 45 degrees (so <a|e1> = <b|e2> and
-    <c|e1> = <c|e2>).
+    e3 = cos(eta) f1 - sin(eta) f2, so <c|e3> = cos(eta) and e3 has no
+    antisymmetric component (<a|e3> = <b|e3>); e1 and e2 are the
+    swap-conjugate pair (g +- f3)/sqrt2, g = sin(eta) f1 + cos(eta) f2,
+    splitting the remaining plane at 45 degrees (<a|e1> = <b|e2>,
+    <c|e1> = <c|e2>).  With |11> as a fourth row they form a rotation.
     """
-    f1, f2, f3 = _symmetric_frame(a, b, c)
-    e3 = math.cos(eta) * f1 - math.sin(eta) * f2
-    g = math.sin(eta) * f1 + math.cos(eta) * f2
-    e1 = (g + f3) / SQRT2
-    e2 = (g - f3) / SQRT2
-    return np.vstack([e1, e2, e3])
+    ce, se = math.cos(eta), math.sin(eta)
+    return np.array([[se / SQRT2, (ce + 1.0) / 2.0, (ce - 1.0) / 2.0, 0.0],
+                     [se / SQRT2, (ce - 1.0) / 2.0, (ce + 1.0) / 2.0, 0.0],
+                     [ce, -se / SQRT2, -se / SQRT2, 0.0]])
 
 
 def ansatz_basis(eta: float, gamma: Angle) -> MeasurementBasis:
     """Symmetric three-outcome measurement family on the two-shot span.
 
-    Requires gamma > 0: at zero overlap angle the letters coincide and the
-    span collapses.
+    The rows do not depend on gamma (see ansatz_rows), but the family needs
+    gamma > 0: at zero overlap angle the letters coincide and the span
+    collapses.
     """
     if gamma.radians <= 0.0:
         raise ValueError("ansatz basis needs gamma > 0; the letters coincide at gamma = 0")
-    a, b, c, _ = two_shot_alphabet(gamma)
-    return MeasurementBasis.from_rows(ansatz_rows(eta, a.coords, b.coords, c.coords))
+    return MeasurementBasis.from_rows(ansatz_rows(eta))
 
 
 def _ansatz_ensemble(p: float, letters: tuple[StateVector, ...]) -> Ensemble:
@@ -197,9 +188,11 @@ def _ideal_conditional_probs(gamma_rad: float) -> Callable:
     """etas -> P[eta..., outcome, letter] of the symmetric family at one angle
     (see _symmetric_conditional_probs).
 
-    Uses the closed-form frame amplitudes: letters a, b, c have frame
-    coordinates (cos g, sin g/sqrt2, +-sin g/sqrt2) and (1, 0, 0).  The tests
-    hold the rates from them to measured_mutual_information over ansatz_basis.
+    Uses the closed-form amplitudes of the ansatz_rows against the letters,
+    whose frame coordinates are (cos g, sin g/sqrt2, +-sin g/sqrt2) for a, b
+    and (1, 0, 0) for c.  The tests hold the rates from them to
+    measured_mutual_information over ansatz_basis.  The probe's warm start
+    (_ansatz_start) is the same rows and |11>.
     """
     cg, sg = math.cos(gamma_rad), math.sin(gamma_rad)
 
@@ -532,16 +525,12 @@ def _product_measurement_start(gamma: Angle) -> np.ndarray:
     return np.concatenate([angles, np.zeros(3)])
 
 
-def _ansatz_start(letters: np.ndarray, ansatz: RateResult) -> np.ndarray:
-    """Parameter vector embedding the symmetric-family optimum over the rows
-    (a, b, c, d) of letters."""
-    a, b, c, d = letters
-    rows = ansatz_rows(ansatz.params["eta"], a, b, c)
-    fourth = d - rows.T @ (rows @ d)
-    fourth = fourth / np.linalg.norm(fourth)
-    basis = np.vstack([rows, fourth])
-    if np.linalg.det(basis) < 0:
-        basis[3] *= -1.0
+def _ansatz_start(ansatz: RateResult) -> np.ndarray:
+    """Parameter vector embedding the symmetric-family optimum: the rotation
+    whose rows are its ansatz_rows and |11>, and its priors."""
+    basis = np.vstack([ansatz_rows(ansatz.params["eta"]), (0.0, 0.0, 0.0, 1.0)])
+    # a rotation: the eta turn inside the frame (f1, f2, f3) and the frame
+    # (f1, f2, f3, |11>) itself each have det -1
     angles = _rotation_angles(basis)
     p = max(ansatz.params["p"], 1e-12)
     pc = max(1.0 - 2.0 * ansatz.params["p"], 1e-12)
@@ -611,7 +600,7 @@ def optimize_general(gamma: Angle, seed: int, ideal: RateResult | None = None) -
     letters = _letters_matrix(gamma)
     if ideal is None:
         ideal = optimize_r2(gamma)
-    starts = np.array([_product_measurement_start(gamma), _ansatz_start(letters, ideal)])
+    starts = np.array([_product_measurement_start(gamma), _ansatz_start(ideal)])
 
     rng = np.random.default_rng(seed)
     samples = _general_rates(_random_thetas(rng, TEMPERATURE_SAMPLES), letters)

@@ -19,6 +19,17 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def optimize_r2_calls(monkeypatch):
+    """The angles of every optimize_r2 call made through twoshot; a rejected
+    input must be rejected before the first."""
+    calls = []
+    optimize_r2 = twoshot.optimize_r2
+    monkeypatch.setattr(twoshot, "optimize_r2",
+                        lambda gamma: calls.append(gamma) or optimize_r2(gamma))
+    return calls
+
+
 class TestPoint:
     def test_orthogonal_one_shot_capacity(self, capsys):
         code, out, _ = run_cli(["point", "--gamma", "90", "--which", "c1"], capsys)
@@ -50,11 +61,12 @@ class TestPoint:
         assert float(lines[0]) == pytest.approx(c1(Angle.from_degrees(30)), abs=1e-7)
         assert any(line.startswith("p_d = ") for line in lines)
 
-    def test_negative_probe_seed_rejected(self, capsys):
+    def test_negative_probe_seed_rejected(self, capsys, optimize_r2_calls):
         code, out, err = run_cli(["point", "--gamma", "10", "--which", "r2gen", "--seed", "-1"],
                                  capsys)
         assert code == 2 and out == ""
         assert err == "error: seed must be an integer >= 0, got -1\n"
+        assert optimize_r2_calls == []
 
     def test_out_of_range_angle(self, capsys):
         code, _, err = run_cli(["point", "--gamma", "95", "--which", "r2"], capsys)
@@ -200,13 +212,20 @@ class TestSweep:
             assert run_cli(["sweep", "--from", "10", "--to", "20", "--steps", "3",
                             "--columns", columns, "--out", out], capsys)[0] == 2
 
-    def test_negative_probe_seed_rejected(self, tmp_path, capsys):
+    def test_negative_probe_seed_rejected(self, tmp_path, capsys, optimize_r2_calls):
         out = tmp_path / "seed.csv"
         code, printed, err = run_cli(["sweep", "--from", "10", "--to", "20", "--steps", "2",
                                       "--columns", "r2gen", "--out", str(out), "--seed", "-1"],
                                      capsys)
         assert code == 2 and printed == "" and not out.exists()
         assert err == "error: seed must be an integer >= 0, got -1\n"
+        assert optimize_r2_calls == []
+
+    def test_seed_is_read_only_by_the_probe(self, tmp_path, capsys):
+        out = tmp_path / "r2.csv"
+        code, _, err = run_cli(["sweep", "--from", "10", "--to", "20", "--steps", "2",
+                                "--columns", "r2", "--out", str(out), "--seed", "-1"], capsys)
+        assert code == 0 and err == "" and out.exists()
 
     def test_unwritable_path(self, capsys):
         code, _, err = run_cli(
@@ -248,15 +267,17 @@ class TestMc:
         assert code == 2 and out == ""
         assert "strictly inside (0, 90)" in err
 
-    def test_zero_samples_rejected(self, capsys):
+    def test_zero_samples_rejected(self, capsys, optimize_r2_calls):
         code, _, err = run_cli(["mc", "--gamma", "10", "--samples", "0", "--seed", "1"], capsys)
         assert code == 2
         assert err == "error: samples must be an integer >= 1, got 0\n"
+        assert optimize_r2_calls == []
 
-    def test_negative_seed_rejected(self, capsys):
+    def test_negative_seed_rejected(self, capsys, optimize_r2_calls):
         code, out, err = run_cli(["mc", "--gamma", "10", "--samples", "10", "--seed", "-1"], capsys)
         assert code == 2 and out == ""
         assert err == "error: seed must be an integer >= 0, got -1\n"
+        assert optimize_r2_calls == []
 
     @pytest.mark.parametrize("shift, z", [(None, "-inf"), (0.0, "+0.000"), (1.0, "+inf")])
     def test_zero_spread_z_takes_the_sign_of_the_miss(self, shift, z, capsys, monkeypatch):

@@ -24,11 +24,28 @@ from superadd.statespace import Angle, MeasurementBasis
 from superadd.twoshot import (ETA_POINTS, P_POINTS, _ansatz_ensemble, _grid_best_cell,
                               _ideal_conditional_probs, _symmetric_prior_argmax,
                               _symmetric_prior_rate, _symmetric_prior_rates, ansatz_basis,
-                              ansatz_rows, optimize_r2)
+                              optimize_r2)
 
 
 def deg(d):
     return Angle.from_degrees(d)
+
+
+def span_rows(eta, a, b, c):
+    """The symmetric family built numerically on the letters a, b, c: the
+    Gram-Schmidt frame f1 along c, f2 the symmetric combination of a and b
+    orthogonal to c and f3 the antisymmetric one, then e3 = cos(eta) f1 -
+    sin(eta) f2 and the swap-conjugate pair e1, e2 = (g +- f3)/sqrt2 with
+    g = sin(eta) f1 + cos(eta) f2.  The oracle of twoshot.ansatz_rows on the
+    ideal letters and of photon_basis on the photon letters."""
+    f1 = c / np.linalg.norm(c)
+    sym = a + b
+    f2 = sym - (sym @ f1) * f1
+    f2 = f2 / np.linalg.norm(f2)
+    f3 = (a - b) / np.linalg.norm(a - b)
+    e3 = math.cos(eta) * f1 - math.sin(eta) * f2
+    g = math.sin(eta) * f1 + math.cos(eta) * f2
+    return np.vstack([(g + f3) / math.sqrt(2), (g - f3) / math.sqrt(2), e3])
 
 
 def scoring_rows(eta, gamma):
@@ -86,7 +103,7 @@ class TestPhotonBasis:
         for gamma_deg, eta in [(5.0, 0.4), (25.0, 1.2), (70.0, 2.8)]:
             gamma = deg(gamma_deg)
             a, b, c, _ = (s.coords for s in two_shot_coherent_alphabet(gamma))
-            expected = ansatz_rows(eta, a, b, c)
+            expected = span_rows(eta, a, b, c)
             rows = photon_basis(eta, gamma)
             assert np.abs(rows - expected).max() < 1e-12
 

@@ -22,6 +22,7 @@ from superadd.twoshot import (
     ETA_POINTS,
     P_POINTS,
     _ansatz_ensemble,
+    _ansatz_start,
     _general_rates,
     _givens_product,
     _grid_best_cell,
@@ -35,14 +36,16 @@ from superadd.twoshot import (
     _symmetric_prior_rates,
     _symmetric_prior_slope,
     ansatz_basis,
+    ansatz_rows,
     crossover_angle,
     optimize_general,
     optimize_r2,
 )
-from test_coherent import PARAMS_ANGLES
+from test_coherent import PARAMS_ANGLES, span_rows
 
 
 GRID_ETAS = np.linspace(0.0, math.pi, ETA_POINTS, endpoint=False).tolist()
+TWO_ONES = (0.0, 0.0, 0.0, 1.0)  # |11>, orthogonal to span{a, b, c}
 # (outcome, letter) rows of any size, with exact zeros, as the float path takes them
 probability_rows = st.lists(
     st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 1.0))] * 3), min_size=1, max_size=5)
@@ -126,6 +129,18 @@ class TestAnsatzBasis:
         basis = ansatz_basis(1.2, deg(0.01))
         gram = basis.matrix @ basis.matrix.T
         assert np.abs(gram - np.eye(3)).max() < 1e-12
+
+    @pytest.mark.parametrize("gamma_deg", np.geomspace(1e-5, 89.9, 13))
+    def test_rows_equal_span_construction(self, gamma_deg):
+        # the closed form is the frame that span_rows builds from the letters
+        a, b, c, _ = (s.coords for s in two_shot_alphabet(deg(gamma_deg)))
+        for eta in np.linspace(-math.pi, 2.0 * math.pi, 61):
+            assert np.abs(ansatz_rows(eta) - span_rows(eta, a, b, c)).max() <= 4e-16
+
+    def test_rows_and_two_ones_form_a_rotation(self):
+        for eta in np.linspace(-math.pi, 2.0 * math.pi, 61):
+            assert np.linalg.det(np.vstack([ansatz_rows(eta), TWO_ONES])) == pytest.approx(
+                1.0, abs=1e-15)
 
 
 class TestRateFunctional:
@@ -471,6 +486,16 @@ class TestOptimizeGeneral:
         assert optimize_general(deg(10), seed=4).converged
         monkeypatch.setattr(twoshot, "POLISH_MAXITER", 1)
         assert not optimize_general(deg(10), seed=4).converged
+
+    @pytest.mark.parametrize("gamma_deg", [1e-5, 1e-4, 0.01, 0.1, 10.0])
+    def test_ansatz_start_is_the_family_and_two_ones(self, gamma_deg):
+        # exact at every angle, where a fourth row by Gram-Schmidt of d
+        # against span{a, b, c} is off by about 1e-16 / sin^2 gamma
+        ideal = optimize_r2(deg(gamma_deg))
+        rotation = _givens_product(_ansatz_start(ideal)[:6])
+        expected = np.vstack([ansatz_rows(ideal.params["eta"]), TWO_ONES])
+        assert np.abs(rotation - expected).max() <= 1e-14
+        assert np.abs(rotation @ rotation.T - np.eye(4)).max() <= 1e-15
 
     def test_hyperparameters_recorded(self):
         result = optimize_general(deg(40), seed=3)
