@@ -14,11 +14,19 @@ Generator.choice.  The outcomes are never materialized: for each letter, one
 boolean mask per outcome-CDF edge counts the trials of that letter whose
 uniform is at or above the edge, and neighbouring counts differ by the trials
 of one outcome.
+
+A block is drawn and tallied in chunks of _CHUNK trials.  Generator.random
+fills its output with one double per 64-bit draw of the stream, so
+rng.random(n1) followed by rng.random(n2) gives the uniforms of
+rng.random(n1 + n2), and the chunks consume a block's stream exactly as one
+whole-block draw would.  The working set of a tally pass, 512 KiB of
+uniforms and 64 KiB masks, stays in cache.  At most one block's letters and
+two chunks of uniforms are alive at once, so a simulate call's traced memory
+peaks near 1.3 MiB whatever the sample count.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +35,7 @@ from .capacities import LN2, Ensemble, _born_probabilities, _xlog2x
 from .statespace import MeasurementBasis, _check_whole
 
 BLOCK_SIZE = 250_000  # trials per child stream of the master seed
+_CHUNK = 1 << 16  # trials per draw and per tally pass within a block
 
 
 @dataclass(frozen=True)
@@ -41,11 +50,14 @@ class SimConfig:
     def __post_init__(self):
         _check_whole("samples", self.samples, 1)
         _check_whole("seed", self.seed, 0)
-        _born_probabilities(self.ensemble, self.basis)  # dimension and completeness checks
+        probs = _born_probabilities(self.ensemble, self.basis).T  # dimension and completeness checks
+        probs.setflags(write=False)
+        object.__setattr__(self, "_probs", probs)
 
     def outcome_probabilities(self) -> np.ndarray:
-        """P[letter, outcome] under the Born rule."""
-        return _born_probabilities(self.ensemble, self.basis).T
+        """P[letter, outcome] under the Born rule, read-only, as checked at
+        construction."""
+        return self._probs
 
 
 @dataclass(frozen=True)
@@ -97,8 +109,11 @@ def simulate(config: SimConfig) -> JointCounts:
 
     Deterministic for a fixed config: block k always consumes the k-th child
     stream of the master seed, first the letter uniforms, then the outcome
-    uniforms.  Each block is tallied letter by letter with boolean masks, so
-    no per-trial outcome or cell index is ever built.
+    uniforms.  Both are drawn _CHUNK at a time, which takes the same uniforms
+    from the stream as whole-block draws, so the counts do not depend on
+    _CHUNK, and the arrays held at once stay under 2 MiB at any sample count.
+    Each chunk is tallied letter by letter with boolean masks, so no
+    per-trial outcome or cell index is ever built.
     """
     priors = config.ensemble.priors
     cond = config.outcome_probabilities()  # (letter, outcome)
@@ -111,21 +126,31 @@ def simulate(config: SimConfig) -> JointCounts:
     # rounds below its uniform to the last outcome.
     cdf = np.cumsum(cond, axis=1)[:, :-1]  # (letter, outcome - 1)
     at_least = np.zeros((n_letters, n_outcomes + 1), dtype=np.int64)
-    blocks = math.ceil(config.samples / BLOCK_SIZE)
-    streams = np.random.SeedSequence(config.seed).spawn(blocks)
+    seeds = np.random.SeedSequence(config.seed)
     remaining = config.samples
-    for stream in streams:
+    while remaining:
         block = min(BLOCK_SIZE, remaining)
         remaining -= block
-        rng = np.random.default_rng(stream)
-        letters = _draw_letters(rng, priors, block)
-        uniforms = rng.random(block)
+        # spawned one at a time, the k-th child is still the k-th of spawn(blocks)
+        _tally_block(np.random.default_rng(seeds.spawn(1)[0]), block, priors, cdf, at_least)
+    return JointCounts(counts=at_least[:, :-1] - at_least[:, 1:], total=config.samples)
+
+
+def _tally_block(rng: np.random.Generator, size: int, priors: np.ndarray, cdf: np.ndarray,
+                 at_least: np.ndarray) -> None:
+    """Add one block of size trials to at_least: all the letters first, then
+    the outcome uniforms, each drawn _CHUNK at a time.  A block's arrays are
+    freed on return, before the next block draws."""
+    starts = range(0, size, _CHUNK)
+    letters = np.concatenate([_draw_letters(rng, priors, min(_CHUNK, size - s)) for s in starts])
+    for start in starts:
+        chunk = letters[start:start + _CHUNK]
+        uniforms = rng.random(chunk.size)
         for x, edges in enumerate(cdf):
-            mine = letters == x
+            mine = chunk == x
             at_least[x, 0] += np.count_nonzero(mine)
             for k, edge in enumerate(edges, 1):
                 at_least[x, k] += np.count_nonzero(mine & (uniforms >= edge))
-    return JointCounts(counts=at_least[:, :-1] - at_least[:, 1:], total=config.samples)
 
 
 def _miller_madow_bits(counts: np.ndarray, total: int) -> np.ndarray:

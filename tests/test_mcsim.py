@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -98,6 +99,38 @@ class TestSimulate:
         ensemble, basis, _ = optimal_two_shot_setup()
         config = SimConfig(samples=np.int64(100), seed=np.uint32(3), ensemble=ensemble, basis=basis)
         assert simulate(config).total == 100
+
+    def test_born_table_is_built_once(self):
+        # the config checks the table and keeps it; simulate reads it back
+        ensemble, basis, _ = optimal_two_shot_setup()
+        with mock.patch.object(mcsim, "_born_probabilities", wraps=mcsim._born_probabilities) as born:
+            config = SimConfig(samples=1_000, seed=1, ensemble=ensemble, basis=basis)
+            simulate(config)
+        assert born.call_count == 1
+        probs = config.outcome_probabilities()
+        assert probs is config.outcome_probabilities()
+        assert not probs.flags.writeable
+        assert np.array_equal(probs, mcsim._born_probabilities(ensemble, basis).T)
+
+    def test_memory_peak_does_not_grow_with_samples(self):
+        # a block's letters and two chunks of uniforms, about 1.3 MiB; whole
+        # 250,000-trial blocks of uniforms and masks peaked at 4.78 MiB
+        ensemble, basis, _ = optimal_two_shot_setup()
+        # the first call imports numpy.random's pickling support, 0.6 MiB
+        simulate(SimConfig(samples=10, seed=1, ensemble=ensemble, basis=basis))
+        peaks = []
+        for samples in (1_000_000, 3_000_000):
+            config = SimConfig(samples=samples, seed=1, ensemble=ensemble, basis=basis)
+            tracemalloc.start()
+            try:
+                simulate(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 2 * 2**20
+        # Python objects move the peak by a few KiB from call to call; one
+        # more block's letters alone would add 244 KiB
+        assert peaks[1] <= peaks[0] + 16 * 2**10
 
 
 class TestEmpiricalMi:
@@ -273,6 +306,33 @@ class TestComparisonTally:
         with mock.patch.object(mcsim, "BLOCK_SIZE", block):
             assert np.array_equal(simulate(config).counts, oracle_simulate(config))
 
+    @pytest.mark.parametrize("block, chunk", [(96, 32), (100, 30), (100, 100), (100, 250)])
+    @given(channel=channels(), samples=st.integers(1, 2_000), seed=st.integers(0, 2**32 - 1))
+    def test_chunks_equal_per_sample_oracle(self, block, chunk, channel, samples, seed):
+        # chunks that divide the block, leave a short last chunk, equal it
+        # and exceed it
+        ensemble, basis = channel
+        config = SimConfig(samples=samples, seed=seed, ensemble=ensemble, basis=basis)
+        with mock.patch.object(mcsim, "BLOCK_SIZE", block), mock.patch.object(mcsim, "_CHUNK", chunk):
+            assert np.array_equal(simulate(config).counts, oracle_simulate(config))
+
+    @pytest.mark.parametrize("samples", [65_535, 65_536, 65_537, 249_999, 250_001, 777_777])
+    def test_chunk_and_block_edges_equal_oracle(self, samples):
+        # the real constants: one trial short of, at and past a chunk or a
+        # block, and a run that ends mid-block and mid-chunk
+        ensemble, basis, _ = optimal_two_shot_setup()
+        config = SimConfig(samples=samples, seed=42, ensemble=ensemble, basis=basis)
+        assert np.array_equal(simulate(config).counts, oracle_simulate(config))
+
+    @given(first=st.integers(0, 200_000), second=st.integers(0, 200_000), seed=st.integers(0, 2**32 - 1))
+    def test_split_uniform_draws_equal_one_draw(self, first, second, seed):
+        # the chunked draws rest on this; fails if a numpy release changes it
+        stream = np.random.SeedSequence(seed).spawn(2)[1]
+        split, whole = np.random.default_rng(stream), np.random.default_rng(stream)
+        drawn = np.concatenate([split.random(first), split.random(second)])
+        assert np.array_equal(drawn, whole.random(first + second))
+        assert split.random() == whole.random()  # the same stream position after
+
     @given(w=prior_lists, size=st.integers(0, 3_000), seed=st.integers(0, 2**32 - 1))
     def test_letter_draw_is_generator_choice(self, w, size, seed):
         # fails if a numpy release changes how Generator.choice draws with p=
@@ -393,5 +453,16 @@ class TestPinnedOutputs:
             "empirical_mi_bits = 0.0444043685\n"
             "bootstrap_se = 7.0137e-04\n"
             "z = -0.271\n"
+            "RESULT: PASS (3 sigma)\n"
+        )
+
+    def test_mc_stdout_mid_block_and_chunk(self, capsys):
+        # CI's second run, whose sample count ends inside a block and a chunk
+        assert cli.main(["mc", "--gamma", "63.7", "--samples", "777777", "--seed", "42"]) == 0
+        assert capsys.readouterr().out == (
+            "analytic_mi_bits = 1.1815465216\n"
+            "empirical_mi_bits = 1.1820681712\n"
+            "bootstrap_se = 1.4112e-03\n"
+            "z = +0.370\n"
             "RESULT: PASS (3 sigma)\n"
         )
