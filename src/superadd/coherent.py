@@ -24,9 +24,8 @@ import numpy as np
 
 from .capacities import RateResult
 from .statespace import Angle, StateVector, _two_shot_letters
-from .twoshot import (ANSATZ_HYPERPARAMS, SQRT2, _check_open_range, _grid_then_refine,
-                      _symmetric_conditional_probs, _symmetric_prior_argmax, _symmetric_prior_rate,
-                      optimize_r2)
+from .twoshot import (ANSATZ_HYPERPARAMS, SQRT2, _check_open_range, _symmetric_conditional_probs,
+                      _symmetric_prior_argmax, _symmetric_prior_rate, _u_search, optimize_r2)
 
 
 def alpha_from_gamma(gamma: Angle) -> float:
@@ -92,7 +91,7 @@ def _clipped_amplitudes(ce, se, alpha, l0, l1):
     """Amplitudes (A1a, A1b, A1c, A3a, A3c) of the clipped, orthonormalized
     basis on the letters a = (l0, -l1, l1), b = (l0, l1, -l1) and
     c = (l0, l1, l1) (photon coordinates below two photons), from cos eta
-    and sin eta as floats or arrays.  e2 is the a <-> b mirror of e1 and
+    and sin eta as floats.  e2 is the a <-> b mirror of e1 and
     A3b = A3a, so these five give every amplitude.
 
     The full rows are orthonormal, so with M the three clipped columns and t
@@ -105,7 +104,7 @@ def _clipped_amplitudes(ce, se, alpha, l0, l1):
     """
     u0, u1, u2, u3, w0, w1, w3 = _photon_row_entries(ce, se, alpha)
     t2 = 2.0 * u3 * u3 + w3 * w3
-    r = (math.sqrt if isinstance(t2, float) else np.sqrt)(1.0 - t2)
+    r = math.sqrt(1.0 - t2)
     k = 1.0 / (r * (1.0 + r))
     s0 = 2.0 * u3 * u0 + w3 * w0
     s1 = u3 * (u1 + u2) + w3 * w1
@@ -117,8 +116,8 @@ def _clipped_amplitudes(ce, se, alpha, l0, l1):
 
 
 def _trunc_conditional_probs(gamma_rad: float) -> Callable:
-    """etas -> P[eta..., outcome, letter] of the completed clipped basis at one
-    angle (see twoshot._symmetric_conditional_probs); the eta-independent
+    """eta -> the (outcome, letter) rows of the completed clipped basis at
+    one angle (see twoshot._symmetric_conditional_probs); the eta-independent
     letters are built once per angle."""
     gamma = Angle(gamma_rad)
     alpha = alpha_from_gamma(gamma)
@@ -131,11 +130,13 @@ def _trunc_conditional_probs(gamma_rad: float) -> Callable:
 def optimize_r2_truncated(gamma: Angle) -> RateResult:
     """Best clipped-basis rate, re-optimizing eta for the clipped scoring.
 
-    Same grid-then-refine search as the ideal family.  Re-optimizing eta
-    after clipping can only raise the curve relative to reusing the ideal
-    angle; the reused variant is available separately for comparison.
+    The same golden-section search over the scaled angle u as the ideal
+    family (see twoshot._u_search), with the same smallest supported angle,
+    0.01 deg.  Re-optimizing eta after clipping can only raise the curve
+    relative to reusing the ideal angle; the reused variant is available
+    separately for comparison.
     """
-    return _grid_then_refine(_trunc_conditional_probs, gamma)
+    return _u_search(_trunc_conditional_probs, gamma)
 
 
 def optimize_r2_truncated_reused(gamma: Angle, ideal: RateResult | None = None) -> RateResult:

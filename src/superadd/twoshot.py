@@ -25,31 +25,19 @@ from typing import Callable
 
 import numpy as np
 
-from .capacities import LN2, Ensemble, RateResult, _xlog2x, c1, mutual_information
+from .capacities import LN2, Ensemble, RateResult, c1, mutual_information
 from .errors import BracketingError
 from .statespace import (Angle, MeasurementBasis, StateVector, _check_whole, _frozen,
                          two_shot_alphabet)
 
 SQRT2 = math.sqrt(2.0)
 
-# Grid-then-refine settings of the symmetric family.
-ETA_POINTS = 240  # over [0, pi), the family's period
-P_POINTS = 101  # over [0, 0.5]
-ETA_XATOL = 1e-8  # the eta search stops when its inner points are this close
-# The grid's coarse pass rates every P_STRIDE-th p, the largest divisor of
-# P_POINTS - 1 not above its square root, so that its samples end at both
-# p = 0 and 0.5.  A cell is left out of the fine pass when its rate is
-# certified GRID_MARGIN below the best sample: hundreds of times the rate
-# kernel's rounding, about 4e-15.  Neither changes a result.
-P_STRIDE = next(s for s in range(math.isqrt(P_POINTS - 1), 0, -1) if (P_POINTS - 1) % s == 0)
-GRID_MARGIN = 1e-12
-_GRID_ETAS = _frozen(np.linspace(0.0, math.pi, ETA_POINTS, endpoint=False))
-_GRID_PS = _frozen(np.linspace(0.0, 0.5, P_POINTS))
-ANSATZ_HYPERPARAMS = {
-    "eta_points": float(ETA_POINTS),
-    "p_points": float(P_POINTS),
-    "eta_xatol": ETA_XATOL,
-}
+# Search settings of the symmetric family (see _u_search): the window of the
+# scaled angle u, eta = pi/2 - u gamma, which holds the optimum u* =
+# 0.756-1.108 of every angle with room to spare, and the stop tolerance.
+U_LO, U_HI = 0.5, 1.5
+ETA_XATOL = 1e-8  # the search stops when its inner points are this close in eta
+ANSATZ_HYPERPARAMS = {"u_lo": U_LO, "u_hi": U_HI, "eta_xatol": ETA_XATOL}
 
 
 # The adjacent-row plane sequence able to reach every rotation of SO(4), and
@@ -155,37 +143,25 @@ def _ansatz_ensemble(p: float, letters: tuple[StateVector, ...]) -> Ensemble:
 
 
 def _symmetric_conditional_probs(amplitudes: Callable, fixed_rows=()) -> Callable:
-    """etas -> P[eta..., outcome, letter] of a symmetric family on the letters
-    (a, b, c), over the axes of etas; a float eta gives the (outcome, letter)
-    rows as a list of tuples of Python floats, equal to the one-element
-    array's.
+    """eta -> the (outcome, letter) rows of a symmetric family on the letters
+    (a, b, c) at a float eta, as a list of tuples of Python floats.
 
-    amplitudes(cos eta, sin eta), on floats or arrays, returns
-    (A1a, A1b, A1c, A3a, A3c): e2 is the a <-> b mirror of e1 and A3b = A3a,
-    so the outcome rows are the squares of (A1a, A1b, A1c), (A1b, A1a, A1c)
-    and (A3a, A3a, A3c).  The rows of fixed_rows, the same at every eta,
-    follow them.
+    amplitudes(cos eta, sin eta) returns (A1a, A1b, A1c, A3a, A3c): e2 is
+    the a <-> b mirror of e1 and A3b = A3a, so the outcome rows are the
+    squares of (A1a, A1b, A1c), (A1b, A1a, A1c) and (A3a, A3a, A3c).  The
+    rows of fixed_rows, the same at every eta, follow them.  The cosine and
+    sine are numpy's, which may round differently from the math module's.
     """
-    def conditional_probs(etas):
-        point = isinstance(etas, float)
-        ce, se = np.cos(etas), np.sin(etas)
-        if point:
-            ce, se = float(ce), float(se)
-        pa1, pb1, pc1, pa3, pc3 = (amp * amp for amp in amplitudes(ce, se))
-        rows = [(pa1, pb1, pc1), (pb1, pa1, pc1), (pa3, pa3, pc3), *fixed_rows]
-        if point:
-            return rows
-        probs = np.empty(np.shape(etas) + (len(rows), 3))
-        for k, row in enumerate(rows):
-            for x, value in enumerate(row):
-                probs[..., k, x] = value
-        return probs
+    def conditional_probs(eta: float) -> list[tuple[float, ...]]:
+        pa1, pb1, pc1, pa3, pc3 = (amp * amp for amp in amplitudes(float(np.cos(eta)),
+                                                                   float(np.sin(eta))))
+        return [(pa1, pb1, pc1), (pb1, pa1, pc1), (pa3, pa3, pc3), *fixed_rows]
 
     return conditional_probs
 
 
 def _ideal_conditional_probs(gamma_rad: float) -> Callable:
-    """etas -> P[eta..., outcome, letter] of the symmetric family at one angle
+    """eta -> the (outcome, letter) rows of the symmetric family at one angle
     (see _symmetric_conditional_probs).
 
     Uses the closed-form amplitudes of the ansatz_rows against the letters,
@@ -208,51 +184,28 @@ def _prior_weighted(a, b, c, p, q):
     return (a * p + c * q) + b * p
 
 
-def _symmetric_rate_from_terms(mixture_terms, letter_terms, p, q):
-    """Half of H(mixture) - sum_x prior_x H(letter x) for priors (p, p, q),
-    from the x log2 x terms, floats or arrays: mixture_terms over the
-    outcomes, letter_terms over the letters (a, b, c) and then the outcomes.
-    Each entropy sums its terms over the outcomes in order."""
-    h_a, h_b, h_c = (-functools.reduce(operator.add, terms) for terms in letter_terms)
-    h_mixture = -functools.reduce(operator.add, mixture_terms)
-    return (h_mixture - _prior_weighted(h_a, h_b, h_c, p, q)) / 2.0
-
-
 def _symmetric_prior_rate(rows, p: float) -> float:
     """One rate, in Python floats, from the rows (P_a, P_b, P_c) of each
-    outcome at prior p; one np.log2 call takes every logarithm, because
-    math.log2 rounds differently from it.  Zeros take the logarithm of 1.0,
-    so their x log2 x terms are 0.0, as in capacities._xlog2x."""
+    outcome at prior p: half of H(mixture) - sum_x prior_x H(letter x) for
+    the priors (p, p, q), q = 1 - 2p.
+
+    The mixture of each outcome is (P_a p + P_c q) + P_b p, the letter
+    entropies are weighted in the same order, and each entropy sums its
+    x log2 x terms over the outcomes in order.  This order makes the rate
+    equal, bit for bit, to that of the general kernel,
+    capacities.mutual_information, on the same priors; any other rounds
+    differently in the last bit.  One np.log2 call takes every logarithm,
+    because math.log2 rounds differently from it.  Zeros take the logarithm
+    of 1.0, so their x log2 x terms are 0.0, as in capacities._xlog2x.
+    """
     q = 1.0 - 2.0 * p
     flat = []  # a, b, c and the mixture of each outcome in turn
     for a, b, c in rows:
         flat += (a, b, c, _prior_weighted(a, b, c, p, q))
     logs = np.log2(np.array([x if x > 0.0 else 1.0 for x in flat])).tolist()
     terms = [x * log for x, log in zip(flat, logs)]
-    return _symmetric_rate_from_terms(terms[3::4], (terms[0::4], terms[1::4], terms[2::4]), p, q)
-
-
-def _symmetric_prior_rates(probs, ps) -> np.ndarray:
-    """Rates [eta..., p...] from the array P[eta..., outcome, letter] over the
-    letters (a, b, c) with priors (p, p, 1 - 2p), over the axes of ps.
-
-    The mixture of each outcome is (P_a p + P_c (1 - 2p)) + P_b p, the letter
-    entropies are weighted in the same order, and -x log2 x is summed over
-    the outcomes in order (see _symmetric_rate_from_terms).  This order makes
-    the rates equal, bit for bit, to those of the general kernel,
-    capacities.mutual_information, on the same priors; any other rounds
-    differently in the last bit.  The grid's path: one rate at a float eta
-    and p is _symmetric_prior_rate's, equal to the one-element grid's.
-    """
-    ps = np.asarray(ps, dtype=float)
-    qs = 1.0 - 2.0 * ps
-    by_letter = np.moveaxis(np.asarray(probs), (-1, -2), (0, 1))  # (letter, outcome, eta...)
-    by_letter = by_letter.reshape(by_letter.shape + (1,) * ps.ndim)  # p axes
-    # a generator, so that one outcome's [eta..., p...] mixture is held at a
-    # time: the peak memory stays that of a few rate grids
-    mixture_terms = (_xlog2x(_prior_weighted(*outcome, ps, qs))
-                     for outcome in np.swapaxes(by_letter, 0, 1))
-    return _symmetric_rate_from_terms(mixture_terms, _xlog2x(by_letter), ps, qs)
+    h_a, h_b, h_c, h_mixture = (-functools.reduce(operator.add, terms[k::4]) for k in range(4))
+    return (h_mixture - _prior_weighted(h_a, h_b, h_c, p, q)) / 2.0
 
 
 def _symmetric_prior_slope(rows) -> Callable[[float], tuple[float, float]]:
@@ -329,77 +282,41 @@ def _check_open_range(gamma: Angle) -> float:
     return gamma.radians
 
 
-def _grid_best_cell(probs: np.ndarray, ps: np.ndarray) -> tuple[int, int, int]:
-    """The row-major first maximum (gi, pi) of _symmetric_prior_rates(probs,
-    ps) over P[eta, outcome, letter] and the P_POINTS evenly spaced priors
-    ps from 0 to 0.5, and the number of distinct cells rated to find it.
-
-    A coarse pass rates every row at every P_STRIDE-th p.  The rate is
-    concave in p at a fixed measurement (Gallager 1968, sec. 4.5), so between
-    samples k and k + 1 of a row it is at most f_k + max(f_k - f_{k-1}, 0),
-    the chord through samples k - 1 and k carried on, and at most
-    f_{k+1} + max(f_{k+1} - f_{k+2}, 0) from the other side; the first and
-    last interval have one side.  An interval bounded GRID_MARGIN below the
-    best sample cannot hold the best cell, so the fine pass rates only the
-    rows with an interval left open, at every p of the window from the first
-    open interval of any row to the last.  The kernel is elementwise, so
-    these cells, and with them the maximum and its tie rule, are those of
-    the full grid.  A NaN anywhere among the samples leaves every interval
-    open, so the argmax is then the full grid's too.
-    """
-    coarse = _symmetric_prior_rates(probs, ps[::P_STRIDE])
-    step = np.diff(coarse, axis=1)
-    inner, ends = coarse[:, 1:-1], np.full((len(coarse), 1), np.inf)
-    # column k bounds interval k from samples k - 1 and k, and from k + 1 and k + 2
-    from_left = np.hstack([ends, inner + np.maximum(step[:, :-1], 0.0)])
-    from_right = np.hstack([inner + np.maximum(-step[:, 1:], 0.0), ends])
-    live = ~(np.minimum(from_left, from_right) + GRID_MARGIN < coarse.max())
-    kept, intervals = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
-    lo, hi = int(intervals[0]), int(intervals[-1]) + 1  # the coarse samples that end the window
-    fine = _symmetric_prior_rates(probs[kept], ps[P_STRIDE * lo:P_STRIDE * hi + 1])
-    row, pi = np.unravel_index(int(np.argmax(fine)), fine.shape)
-    cells = coarse.size + len(kept) * (hi - lo) * (P_STRIDE - 1)
-    return int(kept[row]), P_STRIDE * lo + int(pi), cells
-
-
-def _grid_then_refine(conditional_probs_at: Callable[[float], Callable],
-                      gamma: Angle) -> RateResult:
+def _u_search(conditional_probs_at: Callable[[float], Callable], gamma: Angle) -> RateResult:
     """Maximize the symmetric-family rate over (eta, p), from the
-    etas -> P[eta..., outcome, letter] function that
-    conditional_probs_at(gamma_rad) builds once per angle.
+    eta -> (outcome, letter) rows function that conditional_probs_at(gamma_rad)
+    builds once per angle.
 
-    The best cell of an ETA_POINTS x P_POINTS (eta, p) grid (exact ties: the
-    smallest eta, then the smallest p, the row-major argmax order) is found
-    by _grid_best_cell, which rates in full only the rows and the window of
-    p that its coarse pass leaves open.  A golden-section search (Kiefer
-    1953), each new point the mirror of the kept one, then maximizes R(eta) =
-    rate(eta, p*(eta)) over two eta cells on either side, with p* from
-    _symmetric_prior_argmax warm-started at the previous point's p (the
-    first at the cell's).  It stops when its inner points are ETA_XATOL
-    apart and reports the best point evaluated, the later of equal ones;
-    converged is False when the bracket still holds an end of the box.
-    iterations counts the distinct grid cells rated, the float rates and
-    the slope evaluations.
+    The optimum lies on one ridge, eta* = pi/2 - u* gamma with u* in
+    0.756-1.108 at every angle, so a golden-section search (Kiefer 1953),
+    each new point the mirror of the kept one, maximizes R(u) =
+    rate(eta, p*(eta)) over the scaled angle u in [U_LO, U_HI], with eta =
+    pi/2 - u gamma taken modulo pi, the family's period.  p* comes from
+    _symmetric_prior_argmax, warm-started at the previous point's p (the
+    first at 0.25).  The search stops when its inner points are ETA_XATOL
+    apart in eta, ETA_XATOL / gamma apart in u, and reports the best point
+    evaluated, the later of equal ones; converged is False when the final
+    bracket still holds an end of the u window.  iterations counts the float
+    rates and the slope evaluations.
     """
-    conditional_probs = conditional_probs_at(_check_open_range(gamma))
-    gi, pi, cells = _grid_best_cell(conditional_probs(_GRID_ETAS), _GRID_PS)
-    d_eta = math.pi / ETA_POINTS
-    box = (float(_GRID_ETAS[gi] - 2.0 * d_eta), float(_GRID_ETAS[gi] + 2.0 * d_eta))
-    p = float(_GRID_PS[pi])
+    gamma_rad = _check_open_range(gamma)
+    conditional_probs = conditional_probs_at(gamma_rad)
+    p = 0.25
     evaluated = []  # (rate, eta, p, slope evaluations)
 
-    def profile(eta: float) -> float:
+    def profile(u: float) -> float:
         nonlocal p
+        eta = (math.pi / 2.0 - u * gamma_rad) % math.pi
         rows = conditional_probs(eta)
         p, slope_evals = _symmetric_prior_argmax(rows, p)
         evaluated.append((_symmetric_prior_rate(rows, p), eta, p, slope_evals))
         return evaluated[-1][0]
 
-    lo, hi = box
+    lo, hi = U_LO, U_HI
     golden = (math.sqrt(5.0) - 1.0) / 2.0 * (hi - lo)
     left, right = hi - golden, lo + golden
     f_left, f_right = profile(left), profile(right)
-    while right - left > ETA_XATOL:
+    while (right - left) * gamma_rad > ETA_XATOL:
         if f_left >= f_right:  # the maximum lies in [lo, right]
             hi, right, f_right = right, left, f_left
             left = lo + hi - right
@@ -411,9 +328,9 @@ def _grid_then_refine(conditional_probs_at: Callable[[float], Callable],
     best, eta, p, _ = max(reversed(evaluated), key=operator.itemgetter(0))  # ties: the later point
     return RateResult(
         bits_per_transmission=best,
-        params={"eta": eta % math.pi, "p": p},
-        iterations=cells + sum(1 + slope_evals for *_, slope_evals in evaluated),
-        converged=box[0] < lo and hi < box[1],
+        params={"eta": eta, "p": p},
+        iterations=sum(1 + slope_evals for *_, slope_evals in evaluated),
+        converged=U_LO < lo and hi < U_HI,
         hyperparams=dict(ANSATZ_HYPERPARAMS),
     )
 
@@ -421,11 +338,14 @@ def _grid_then_refine(conditional_probs_at: Callable[[float], Callable],
 def optimize_r2(gamma: Angle) -> RateResult:
     """Best symmetric-family rate at the given overlap angle.
 
-    A dense (eta, p) grid, then a golden-section search in eta with the
-    prior solved exactly at each point (see _grid_then_refine);
-    deterministic.
+    A golden-section search over the scaled angle u, eta = pi/2 - u gamma,
+    with the prior solved exactly at each point (see _u_search);
+    deterministic.  The smallest supported angle is 0.01 deg, where r2/c1
+    still reads 1.0281785.  Smaller angles are not rejected, but there
+    rounding, not the gamma^2 approach to the limit, sets the last digits of
+    r2/c1: the rate is a difference of O(1) entropies.
     """
-    return _grid_then_refine(_ideal_conditional_probs, gamma)
+    return _u_search(_ideal_conditional_probs, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -117,8 +117,8 @@ class TestSweep:
         run_cli(["sweep", "--from", "10", "--to", "20.5", "--steps", "2",
                  "--columns", "cinf,c1", "--out", str(out)], capsys)
         assert out.read_text().splitlines()[0] == (
-            "# superadd sweep from=10 to=20.5 steps=2 columns=cinf,c1 seed=0 eta_points=240 "
-            f"p_points=101 eta_xatol=1e-08 version={__version__}")
+            "# superadd sweep from=10 to=20.5 steps=2 columns=cinf,c1 seed=0 u_lo=0.5 "
+            f"u_hi=1.5 eta_xatol=1e-08 version={__version__}")
 
     def test_ratio_column_strictly_decreasing(self, tmp_path, capsys):
         out = tmp_path / "ratio.csv"

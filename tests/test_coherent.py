@@ -9,9 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from superadd import coherent
-from superadd.capacities import c1, measured_mutual_information
+from superadd.capacities import c1, measured_mutual_information, mutual_information
 from superadd.coherent import (
-    _clipped_amplitudes,
     _trunc_conditional_probs,
     alpha_from_gamma,
     coherent_states,
@@ -21,14 +20,25 @@ from superadd.coherent import (
     two_shot_coherent_alphabet,
 )
 from superadd.statespace import Angle, MeasurementBasis
-from superadd.twoshot import (ETA_POINTS, P_POINTS, _ansatz_ensemble, _grid_best_cell,
-                              _ideal_conditional_probs, _symmetric_prior_argmax,
-                              _symmetric_prior_rate, _symmetric_prior_rates, ansatz_basis,
+from superadd.twoshot import (U_HI, U_LO, _ansatz_ensemble, _ideal_conditional_probs,
+                              _symmetric_prior_argmax, _symmetric_prior_rate, ansatz_basis,
                               optimize_r2)
+
+# A dense (eta, p) grid over the family's period and the priors, the oracle
+# that the symmetric optimizers' search must reach
+GRID_ETAS = np.linspace(0.0, math.pi, 240, endpoint=False).tolist()
+GRID_PS = np.linspace(0.0, 0.5, 101)
 
 
 def deg(d):
     return Angle.from_degrees(d)
+
+
+def general_kernel_prior_rates(probs, ps):
+    """Rates [eta, p] of the symmetric family's priors through the general
+    mutual-information kernel, the oracle of the written-out prior tail."""
+    priors = np.stack([ps, ps, 1 - 2 * ps], -1)
+    return mutual_information(probs[..., None, :, :], priors) / 2
 
 
 def span_rows(eta, a, b, c):
@@ -155,7 +165,7 @@ class TestTruncatedBasis:
         rows = scoring_rows(eta, gamma)
         probs = _trunc_conditional_probs(gamma.radians)(eta)
         assert np.abs(np.array(probs) - (rows @ letters.T) ** 2).max() <= 1e-14
-        assert (_symmetric_prior_rates(probs, p)
+        assert (_symmetric_prior_rate(probs, p)
                 == pytest.approx(rate_truncated(eta, p, gamma), rel=0, abs=1e-14))
 
     def test_distortion_scales_with_alpha(self):
@@ -212,8 +222,7 @@ class TestTruncatedRate:
         # the symmetric prior tail writes its sums out, and the clipped basis
         # is in closed form; an einsum under either is the general kernel's or
         # the eigendecomposition's slower path come back
-        tail = {"_symmetric_conditional_probs", "conditional_probs", "_symmetric_prior_rates",
-                "_symmetric_prior_rate"}
+        tail = {"_symmetric_conditional_probs", "conditional_probs", "_symmetric_prior_rate"}
         calls = Counter()
         einsum = np.einsum
 
@@ -241,39 +250,11 @@ class TestTruncatedRate:
             gamma_rad = rng.uniform(0.05, math.pi / 2 - 0.05)
             eta = rng.uniform(0.0, math.pi)
             p = rng.uniform(0.0, 0.5)
-            fast = _symmetric_prior_rate(_trunc_conditional_probs(gamma_rad)(eta), p)
+            rows = _trunc_conditional_probs(gamma_rad)(eta)
+            assert all(type(value) is float for row in rows for value in row)
+            fast = _symmetric_prior_rate(rows, p)
             slow = rate_truncated(eta, p, Angle(gamma_rad))
             assert fast == pytest.approx(slow, abs=1e-12)
-
-    @given(
-        gamma_deg=st.floats(0.0, 90.0, exclude_min=True, exclude_max=True),
-        eta=st.one_of(st.floats(-2 * math.pi / 240, math.pi + 2 * math.pi / 240),
-                      st.sampled_from(np.linspace(0.0, math.pi, 240, endpoint=False).tolist())),
-        p=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
-    )
-    def test_float_call_equals_one_element_call(self, gamma_deg, eta, p):
-        # both optimizers' eta searches call with floats what their grids
-        # call with arrays: the values must be the one-element arrays' bit
-        # for bit, on the grid's own etas too
-        gamma_rad = math.radians(gamma_deg)
-        conditional_probs = _trunc_conditional_probs(gamma_rad)
-        probs = conditional_probs(np.array([eta]))
-        one_cell = _symmetric_prior_rates(probs, np.array([p]))
-        assert one_cell.shape == (1, 1)
-        rows = conditional_probs(eta)
-        assert _symmetric_prior_rate(rows, p) == one_cell[0, 0]
-        assert all(type(value) is float for row in rows for value in row)
-        assert np.array_equal(rows, probs[0])
-        alpha = alpha_from_gamma(Angle(gamma_rad))
-        ce, se = np.cos(np.array([eta])), np.sin(np.array([eta]))
-        amplitudes = _clipped_amplitudes(float(ce[0]), float(se[0]), alpha, 0.9, 0.1)
-        assert all(type(value) is float for value in amplitudes)
-        assert amplitudes == tuple(a[0] for a in _clipped_amplitudes(ce, se, alpha, 0.9, 0.1))
-        assert (_symmetric_prior_rate(probs[0].tolist(), p)
-                == _symmetric_prior_rates(probs, np.array([p]))[0, 0])
-        ps = np.linspace(0.0, 0.5, 101)
-        assert np.array_equal(_symmetric_prior_rates(probs[0], ps),
-                              _symmetric_prior_rates(probs, ps)[0])
 
     def test_prior_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -314,12 +295,12 @@ def test_reused_prior_search_reaches_the_p_grid(gamma_deg):
     g = deg(gamma_deg)
     ideal = optimize_r2(g)
     rows = _trunc_conditional_probs(g.radians)(ideal.params["eta"])
-    ps = np.linspace(0.0, 0.5, 101)
-    grid_best = _symmetric_prior_rates(rows, ps).max()
+    ps = GRID_PS.tolist()
+    grid_best = max(_symmetric_prior_rate(rows, p) for p in ps)
     reused = optimize_r2_truncated_reused(g, ideal=ideal)
     assert reused.bits_per_transmission >= grid_best
     exact = exact_prior_rate(rows, reused.params["p"])
-    assert all(exact >= exact_prior_rate(rows, p) for p in ps.tolist())
+    assert all(exact >= exact_prior_rate(rows, p) for p in ps)
 
 
 # the angles over 0.3-89.7 deg where the best grid cell has p = 0.4: three for
@@ -343,13 +324,33 @@ def test_symmetric_optimizers_report_the_exact_prior(gamma_deg):
 
 @pytest.mark.parametrize("gamma_deg", [0.2, 0.1, 0.05])
 def test_small_angle_gain_is_found(gamma_deg):
-    # r2/c1 tends to 1.02818 at p* = 0.4695, between two p grid values.  The
-    # optimal eta is pi/2 - 0.756 gamma, on a ridge about gamma wide, which
-    # the eta grid stops resolving at about 0.02 deg
+    # r2/c1 tends to 1.02818 at p* = 0.4695, between two values of the p
+    # grid, on a ridge eta* = pi/2 - 0.756 gamma about gamma wide
     for _, optimize in SYMMETRIC_OPTIMIZERS:
         result = optimize(deg(gamma_deg))
         assert 1.027 <= result.bits_per_transmission / c1(deg(gamma_deg)) <= 1.029
-        assert result.params["p"] not in np.linspace(0.0, 0.5, 101).tolist()
+        assert result.params["p"] not in GRID_PS.tolist()
+
+
+LIMIT_GAIN = 1.0281785252645  # F*, the gamma -> 0 limit of r2/c1
+SMALL_ANGLES = np.geomspace(2.0, 0.01, 12).tolist()  # down to the smallest supported angle
+
+
+@pytest.mark.parametrize("gamma_deg", SMALL_ANGLES)
+def test_small_angle_gain_holds_down_to_the_smallest_angle(gamma_deg):
+    for _, optimize in SYMMETRIC_OPTIMIZERS:
+        result = optimize(deg(gamma_deg))
+        ratio = result.bits_per_transmission / c1(deg(gamma_deg))
+        assert 1.027 <= ratio <= 1.029 and ratio <= LIMIT_GAIN
+        assert result.params["p"] != 0.5 and result.converged
+
+
+def test_small_angle_gain_approaches_the_limit():
+    # F* - r2/c1 shrinks with the angle, as gamma^2, for both families
+    for _, optimize in SYMMETRIC_OPTIMIZERS:
+        gaps = [LIMIT_GAIN - optimize(deg(d)).bits_per_transmission / c1(deg(d))
+                for d in SMALL_ANGLES]
+        assert all(wide > narrow for wide, narrow in zip(gaps, gaps[1:])), gaps
 
 
 @pytest.mark.parametrize("gamma_deg", PARAMS_ANGLES)
@@ -365,8 +366,8 @@ def test_params_reproduce_value(gamma_deg):
         assert _symmetric_prior_rate(rows, result.params["p"]) == result.bits_per_transmission
 
 
-# Optimizer values at fixed angles, so that a refactor of the grid searches
-# cannot move them unnoticed; the reused variant takes the ideal family's eta,
+# Optimizer values at fixed angles, so that a refactor of the searches cannot
+# move them unnoticed; the reused variant takes the ideal family's eta,
 # which the eta search fixes only to its ETA_XATOL, hence its looser tolerance.
 PINNED_RATES = [
     (0.5, 5.6479843673573615e-05, 5.6479656941332834e-05, 5.647965693500456e-05),
@@ -386,15 +387,16 @@ def test_optimizer_values_pinned(gamma_deg, r2, r2trunc, r2trunc_reused):
             == pytest.approx(r2trunc_reused, rel=0, abs=1e-9))
 
 
-@given(gamma_deg=st.floats(0.0, 90.0, exclude_min=True, exclude_max=True),
-       conditional_probs_at=st.sampled_from([_ideal_conditional_probs, _trunc_conditional_probs]))
-def test_grid_best_cell_is_the_full_grid_argmax(gamma_deg, conditional_probs_at):
-    # the cells that the coarse pass drops cannot be the best cell, so the
-    # cell and its tie rule are the full grid's
-    etas = np.linspace(0.0, math.pi, ETA_POINTS, endpoint=False)
-    ps = np.linspace(0.0, 0.5, P_POINTS)
-    probs = conditional_probs_at(math.radians(gamma_deg))(etas)
-    full = _symmetric_prior_rates(probs, ps)
-    gi, pi, cells = _grid_best_cell(probs, ps)
-    assert (gi, pi) == np.unravel_index(np.argmax(full), full.shape)
-    assert cells <= full.size
+@given(gamma_deg=st.floats(0.05, 89.9), family=st.sampled_from(SYMMETRIC_OPTIMIZERS))
+def test_u_search_reaches_the_full_grid(gamma_deg, family):
+    # the search is at or above the best cell of the full (eta, p) grid, and
+    # its optimum lies strictly inside the u window
+    conditional_probs_at, optimize = family
+    gamma_rad = math.radians(gamma_deg)
+    conditional_probs = conditional_probs_at(gamma_rad)
+    grid = general_kernel_prior_rates(np.array([conditional_probs(eta) for eta in GRID_ETAS]),
+                                      GRID_PS)
+    result = optimize(deg(gamma_deg))
+    assert result.bits_per_transmission >= grid.max()
+    u = ((math.pi / 2 - result.params["eta"]) % math.pi) / gamma_rad
+    assert U_LO < u < U_HI and result.converged

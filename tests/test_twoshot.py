@@ -9,8 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from superadd.capacities import (Ensemble, c1, c_infinity, measured_mutual_information,
-                                 mutual_information)
+from superadd.capacities import Ensemble, c1, c_infinity, measured_mutual_information
 from superadd.cli import CROSSOVER_SETUPS
 from superadd.coherent import (_trunc_conditional_probs, optimize_r2_truncated,
                                optimize_r2_truncated_reused)
@@ -19,32 +18,28 @@ from superadd.statespace import Angle, MeasurementBasis, two_shot_alphabet
 from superadd import twoshot
 from superadd.twoshot import (
     CROSSOVER_TOLERANCE_DEG,
-    ETA_POINTS,
-    P_POINTS,
     _ansatz_ensemble,
     _ansatz_start,
     _general_rates,
     _givens_product,
-    _grid_best_cell,
-    _grid_then_refine,
     _ideal_conditional_probs,
     _letters_matrix,
     _rate_and_gradient,
     _rotation_angles,
     _symmetric_prior_argmax,
     _symmetric_prior_rate,
-    _symmetric_prior_rates,
     _symmetric_prior_slope,
+    _u_search,
     ansatz_basis,
     ansatz_rows,
     crossover_angle,
     optimize_general,
     optimize_r2,
 )
-from test_coherent import PARAMS_ANGLES, span_rows
+from test_coherent import (GRID_ETAS, GRID_PS, PARAMS_ANGLES, general_kernel_prior_rates,
+                           span_rows)
 
 
-GRID_ETAS = np.linspace(0.0, math.pi, ETA_POINTS, endpoint=False).tolist()
 TWO_ONES = (0.0, 0.0, 0.0, 1.0)  # |11>, orthogonal to span{a, b, c}
 # (outcome, letter) rows of any size, with exact zeros, as the float path takes them
 probability_rows = st.lists(
@@ -66,13 +61,6 @@ def rate(eta, p, gamma):
     ansatz_basis, the oracle of the closed-form frame amplitudes."""
     ensemble = _ansatz_ensemble(p, two_shot_alphabet(gamma))
     return measured_mutual_information(ensemble, ansatz_basis(eta, gamma)) / 2.0
-
-
-def general_kernel_prior_rates(probs, ps):
-    """Rates [eta, p] of the symmetric family's priors through the general
-    mutual-information kernel, the oracle of the written-out prior tail."""
-    priors = np.stack([ps, ps, 1 - 2 * ps], -1)
-    return mutual_information(probs[..., None, :, :], priors) / 2
 
 
 def literal_expansion_rows(eta, gamma_rad):
@@ -185,43 +173,26 @@ class TestRateFunctional:
             slow = rate(eta, p, Angle(gamma_rad))
             assert fast == pytest.approx(slow, abs=1e-12)
 
-    @given(
-        gamma_deg=st.floats(0.0, 90.0, exclude_min=True, exclude_max=True),
-        eta=st.one_of(st.floats(-2 * math.pi / 240, math.pi + 2 * math.pi / 240),
-                      st.sampled_from(GRID_ETAS)),
-        p=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
-    )
-    def test_float_call_equals_one_element_call(self, gamma_deg, eta, p):
-        # the eta search calls with floats what the grid calls with arrays:
-        # both must rate the same function, bit for bit.  The grid's own
-        # etas include eta = 0, where some probabilities are zero.
-        conditional_probs = _ideal_conditional_probs(math.radians(gamma_deg))
-        one_cell = _symmetric_prior_rates(conditional_probs(np.array([eta])), np.array([p]))
-        assert one_cell.shape == (1, 1)
-        assert _symmetric_prior_rate(conditional_probs(eta), p) == one_cell[0, 0]
-
     @given(rows=probability_rows, p=priors)
     @example(rows=[(0.76, 0.5, 0.45), (0.0, 0.22, 0.42)], p=0.3)
-    def test_float_rate_equals_one_element_array_rate(self, rows, p):
-        one_cell = _symmetric_prior_rates(np.array([rows]), np.array([p]))
-        assert same_bits([_symmetric_prior_rate(rows, p)], [one_cell[0, 0]])
+    def test_float_rate_equals_general_kernel(self, rows, p):
+        # equal values: where both are zero, the float rate may be -0.0
+        kernel = general_kernel_prior_rates(np.array([rows]), np.array([p]))
+        assert _symmetric_prior_rate(rows, p) == kernel[0, 0]
 
     @pytest.mark.parametrize("gamma_deg", [0.05, 0.5, 5, 17, 18.7, 45, 80, 89.9])
     def test_prior_tail_equals_general_kernel_on_full_grids(self, gamma_deg):
-        # the written-out tail must round exactly as the general kernel does
+        # the written-out tail must round exactly as the general kernel does,
+        # at every eta of the grid and three of its p columns
         gamma_rad = math.radians(gamma_deg)
-        etas = np.array(GRID_ETAS)
-        ps = np.linspace(0.0, 0.5, P_POINTS)
-        ideal_probs = _ideal_conditional_probs(gamma_rad)(etas)
-        assert not ideal_probs.all()  # the eta = 0 row has zero probabilities
-        for probs in (ideal_probs, _trunc_conditional_probs(gamma_rad)(etas)):
-            rates = _symmetric_prior_rates(probs, ps)
-            assert rates.shape == (ETA_POINTS, P_POINTS)
-            assert np.array_equal(rates, general_kernel_prior_rates(probs, ps))
-            # the float path, at every eta of three columns, gives the cells
-            for j in (0, 37, P_POINTS - 1):
-                floats = [_symmetric_prior_rate(table.tolist(), float(ps[j])) for table in probs]
-                assert floats == rates[:, j].tolist()
+        ps = GRID_PS[[0, 37, -1]]
+        ideal_rows = [_ideal_conditional_probs(gamma_rad)(eta) for eta in GRID_ETAS]
+        assert not np.array(ideal_rows).all()  # the eta = 0 row has zero probabilities
+        trunc_rows = [_trunc_conditional_probs(gamma_rad)(eta) for eta in GRID_ETAS]
+        for rows in (ideal_rows, trunc_rows):
+            kernel = general_kernel_prior_rates(np.array(rows), ps)
+            for j, p in enumerate(ps.tolist()):
+                assert [_symmetric_prior_rate(table, p) for table in rows] == kernel[:, j].tolist()
 
 
 class TestOptimizeR2:
@@ -234,36 +205,25 @@ class TestOptimizeR2:
     def test_result_metadata(self):
         result = optimize_r2(deg(12))
         assert result.converged
-        assert result.hyperparams == {"eta_points": 240.0, "p_points": 101.0, "eta_xatol": 1e-8}
+        assert result.hyperparams == {"u_lo": 0.5, "u_hi": 1.5, "eta_xatol": 1e-8}
 
     @pytest.mark.parametrize("optimize", [optimize_r2, optimize_r2_truncated])
     def test_iterations_count_every_evaluation(self, optimize, monkeypatch):
-        # the grid's distinct cells: those of its two rate calls, less the
-        # coarse samples inside the fine pass's window of p, which it rates
-        # again; then one float rate and the prior search's slope evaluations
-        # at each point of the eta search
-        grids, calls = [], Counter()
-        rates, rate, slope = (twoshot._symmetric_prior_rates, twoshot._symmetric_prior_rate,
-                              twoshot._symmetric_prior_slope)
-
-        def counted_rates(probs, ps):
-            grids.append((rates(probs, ps), ps))
-            return grids[-1][0]
+        # one float rate and the prior search's slope evaluations at each
+        # point of the u search
+        calls = Counter()
+        rate, slope = twoshot._symmetric_prior_rate, twoshot._symmetric_prior_slope
 
         def counted_slope(rows):
             slope_at = slope(rows)
             return lambda p: calls.update(["slope"]) or slope_at(p)
 
-        monkeypatch.setattr(twoshot, "_symmetric_prior_rates", counted_rates)
         monkeypatch.setattr(twoshot, "_symmetric_prior_rate",
                             lambda rows, p: calls.update(["rate"]) or rate(rows, p))
         monkeypatch.setattr(twoshot, "_symmetric_prior_slope", counted_slope)
         result = optimize(deg(12))
-        (coarse, samples), (fine, window) = grids
-        (etas, _), (kept, width) = coarse.shape, fine.shape
-        assert etas == ETA_POINTS and kept < etas and width <= P_POINTS
-        cells = coarse.size + kept * (width - np.isin(window, samples).sum())
-        assert result.iterations == cells + calls["rate"] + calls["slope"]
+        assert calls["rate"] > 0
+        assert result.iterations == calls["rate"] + calls["slope"]
 
     @pytest.mark.parametrize("optimize, gamma_deg", [
         pytest.param(optimize_r2, 17, id="optimize_r2"),
@@ -272,60 +232,34 @@ class TestOptimizeR2:
         pytest.param(optimize_r2_truncated, 0.5, id="optimize_r2_truncated-0.5deg"),
     ])
     def test_grid_rates_under_a_third_of_its_cells(self, optimize, gamma_deg):
-        # a structural budget, not a timing: the coarse pass leaves open a
-        # few dozen eta rows at 17 deg, and nearly every row but a narrow
-        # window of p at 0.5 deg; the call takes about 3,300-3,400 and 7,100
-        # iterations there, against about 24,400 with the full grid
-        assert optimize(deg(gamma_deg)).iterations < 8_000
+        # a structural budget, not a timing: the u search takes 20-35 points
+        # of a few slope evaluations each, about 190-230 iterations here,
+        # against 24,240 cells in the full (eta, p) grid
+        assert optimize(deg(gamma_deg)).iterations < 400
 
     @pytest.mark.parametrize("optimize", [optimize_r2, optimize_r2_truncated])
     @pytest.mark.parametrize("gamma_deg", [0.05, 0.5, 1.2, 17, 45])
     def test_grid_memory_stays_small(self, optimize, gamma_deg):
-        # a structural budget, not a timing: the fine pass holds a few dozen
-        # rows, or nearly every row over a narrow window of p below about
-        # 2 deg, so a call's traced peak is 0.2-0.45 MB; rating those rows
-        # at every p takes about 1.3 MB
+        # a structural budget, not a timing: the search holds a few dozen
+        # evaluated points and one point's rows, so a call's traced peak is
+        # a few KB; rating the full (eta, p) grid takes about 1 MB
         tracemalloc.start()
         try:
             optimize(deg(gamma_deg))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 600_000
-
-    def test_grid_tie_across_rows_goes_to_the_earlier_row(self):
-        # the best row copied to a row before and after it: an exact tie
-        # across rows, which the full grid's argmax gives to the earlier
-        ps = np.linspace(0.0, 0.5, P_POINTS)
-        probs = _ideal_conditional_probs(math.radians(17))(np.array(GRID_ETAS))
-        gi, pi, _ = _grid_best_cell(probs, ps)
-        for other in (gi - 7, gi + 7):
-            tied = probs.copy()
-            tied[other] = probs[gi]
-            full = _symmetric_prior_rates(tied, ps)
-            assert full[other, pi] == full[gi, pi] == full.max()
-            assert _grid_best_cell(tied, ps)[:2] == (min(gi, other), pi)
-
-    def test_grid_with_a_nan_is_the_full_grid(self):
-        # a NaN probability makes its whole row NaN, which the full grid's
-        # argmax picks; the coarse pass then leaves every cell open
-        ps = np.linspace(0.0, 0.5, P_POINTS)
-        probs = _trunc_conditional_probs(math.radians(17))(np.array(GRID_ETAS))
-        probs[150, 1, 2] = math.nan
-        full = _symmetric_prior_rates(probs, ps)
-        best = np.unravel_index(np.argmax(full), full.shape)
-        assert best == (150, 0)
-        assert _grid_best_cell(probs, ps) == (*best, full.size)
+        assert peak < 50_000
 
     def test_not_converged_when_the_maximum_leaves_the_box(self):
-        # the search's float etas see the profile shifted by 0.2 rad, so its
-        # maximum lies below the box of two cells around the grid's best one
+        # the search's etas see the profile shifted by 0.2 rad, so its
+        # maximum lies at u* + 0.2 / gamma, past the u window's upper end
         def shifted_at(gamma_rad):
             conditional_probs = _ideal_conditional_probs(gamma_rad)
-            return lambda etas: conditional_probs(etas + 0.2 if isinstance(etas, float) else etas)
+            return lambda eta: conditional_probs(eta + 0.2)
 
-        assert _grid_then_refine(_ideal_conditional_probs, deg(12)).converged
-        assert not _grid_then_refine(shifted_at, deg(12)).converged
+        assert _u_search(_ideal_conditional_probs, deg(12)).converged
+        assert not _u_search(shifted_at, deg(12)).converged
 
     def test_domain(self):
         with pytest.raises(ValueError):
