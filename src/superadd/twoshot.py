@@ -360,9 +360,9 @@ LEVELS = 100
 PROPOSALS_PER_LEVEL = 12
 STEP_SCALE = 0.35
 POLISH_CANDIDATES = 6
-POLISH_MAXITER = 500  # L-BFGS-B iterations per polished candidate
-POLISH_FTOL = 1e-13  # rate tolerance of the polish
-POLISH_GTOL = 1e-10  # gradient tolerance of the polish
+POLISH_MAXITER = 500  # BFGS iterations (accepted steps) per polished candidate
+POLISH_FTOL = 1e-13  # relative rate gain at which the polish stops
+POLISH_GTOL = 1e-10  # largest gradient component at which the polish stops
 
 
 def _letters_matrix(gamma: Angle) -> np.ndarray:
@@ -392,8 +392,9 @@ def _general_rates(theta: np.ndarray, letters: np.ndarray) -> np.ndarray:
     return mutual_information(probs, _general_priors(theta)) / 2.0
 
 
-def _rate_and_gradient(theta: np.ndarray, letters: np.ndarray) -> tuple[float, np.ndarray]:
-    """_general_rates at one theta[9], with its closed-form gradient.
+def _rate_and_gradient(theta: np.ndarray, letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_general_rates over the leading axes of theta[..., 9], with its
+    closed-form gradient, of shape theta.shape.
 
     With amplitudes A = U L^T, U = G_0 ... G_5 and P = A^2, dI/dP_kx = pi_x
     log2(P_kx / m_k) and dI/dpi_x = sum_k P_kx (log2(P_kx / m_k) - 1/ln 2).
@@ -401,34 +402,36 @@ def _rate_and_gradient(theta: np.ndarray, letters: np.ndarray) -> tuple[float, n
     gets dI/dt_k = (V_k^T K V_k)[i, j], where V_k = G_0 ... G_k is a prefix
     product (the suffix G_{k+1} ... G_5 is V_k^T U) and K = A W^T - W A^T for
     W = dI/dA = 2 A dI/dP.  The logit derivatives chain dI/dpi through the
-    softmax.
+    softmax.  Each row rounds as it does alone.
     """
     # one batched call: the V_k are also one tree's intermediates, the same
     # bits, but eight small matmul calls take longer than three batched ones
-    prefixes = _givens_product(np.where(_PREFIX_MASK, theta[:6], 0.0))
-    amps = prefixes[-1] @ letters.T  # (outcome, letter)
+    prefixes = _givens_product(np.where(_PREFIX_MASK, theta[..., None, :6], 0.0))
+    amps = prefixes[..., -1, :, :] @ letters.T  # (..., outcome, letter)
     probs = amps**2
     priors = _general_priors(theta)
-    value = float(mutual_information(probs, priors)) / 2.0
+    value = mutual_information(probs, priors) / 2.0
 
-    mixture = (probs @ priors)[:, None]
+    mixture = probs @ priors[..., None]
     live = (probs > 0.0) & (mixture > 0.0)
     # zero where P_kx or m_k vanishes, whose terms drop out
     log_ratio = np.divide(probs, mixture, out=np.ones(probs.shape), where=live)
     np.log2(log_ratio, out=log_ratio)
     d_priors = log_ratio - 1.0 / LN2
     d_priors *= probs
-    d_priors = d_priors.sum(axis=0)
-    d_logits = priors * (d_priors - priors @ d_priors)
+    d_priors = d_priors.sum(axis=-2)
+    d_logits = priors * (d_priors - (priors[..., None, :] @ d_priors[..., None])[..., 0])
 
     d_amps = 2.0 * amps
-    d_amps *= priors
+    d_amps *= priors[..., None, :]
     d_amps *= log_ratio
-    skew = amps @ d_amps.T - d_amps @ amps.T
-    gradient = np.empty(9)
-    gradient[:6] = np.einsum("ka,ab,kb->k", prefixes[_GIVENS_INDEX, :, _GIVENS_ROWS], skew,
-                             prefixes[_GIVENS_INDEX, :, _GIVENS_COLS])
-    gradient[6:] = d_logits[1:]
+    skew = amps @ np.swapaxes(d_amps, -1, -2) - d_amps @ np.swapaxes(amps, -1, -2)
+    columns = np.swapaxes(prefixes, -1, -2)  # columns[..., k, i, :] is column i of V_k
+    gradient = np.empty(theta.shape)
+    gradient[..., :6] = np.einsum("...ka,...ab,...kb->...k",
+                                  columns[..., _GIVENS_INDEX, _GIVENS_ROWS, :], skew,
+                                  columns[..., _GIVENS_INDEX, _GIVENS_COLS, :])
+    gradient[..., 6:] = d_logits[..., 1:]
     gradient /= 2.0
     return value, gradient
 
@@ -495,26 +498,107 @@ def _anneal_lockstep(x: np.ndarray, letters: np.ndarray, rng: np.random.Generato
     return best_x, best_f
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _polish_lockstep(x: np.ndarray, letters: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """BFGS ascent (Nocedal and Wright, Numerical Optimization, ch. 6) of the
+    rate from each row of x[R, 9], all rows in lockstep: each step makes one
+    batched _rate_and_gradient call over the rows still running.  Returns
+    each row's final point, rate, converged flag and rate evaluations.
+
+    A row's search direction is d = H g for the gradient g and the inverse
+    Hessian estimate H: the identity until the first update scales it by
+    s.y / y.y (their eq. 6.20), and the update is skipped unless s.y >
+    eps (g.s), as in L-BFGS-B.  Its line search halves the step, from 1
+    (from min(1, 1/|g|) on the first iteration), until the Armijo test
+    f(x + a d) >= f + 1e-4 a (g.d) holds.  A row stops, converged, when its
+    largest gradient component is at most POLISH_GTOL, or when the gain of
+    an accepted step, or the first-order gain a (g.d) of a rejected one, is
+    at most POLISH_FTOL max(|f|, 1): no shorter step along d can gain more.
+    A row whose POLISH_MAXITER-th step is accepted stops unconverged.  Each
+    row's arithmetic is its own, so a row polished alone ends on the same
+    bits.
+    """
+    x = x.copy()
+    f, g = _rate_and_gradient(x, letters)
+    evaluations = np.ones(len(x), dtype=int)
+    converged = np.abs(g).max(axis=-1) <= POLISH_GTOL
+    # the state of the running rows, compacted as rows stop
+    live = np.flatnonzero(~converged)
+    xs, fs, gs, evals = x[live], f[live], g[live], evaluations[live]
+    hs = np.broadcast_to(np.eye(9), (live.size, 9, 9)).copy()
+    ds = gs.copy()
+    slope = _dot(gs, ds)
+    step = 1.0 / np.maximum(np.sqrt(slope), 1.0)
+    steps = np.zeros(live.size, dtype=int)
+    while live.size:
+        trial = xs + step[:, None] * ds
+        f_trial, g_trial = _rate_and_gradient(trial, letters)
+        evals += 1
+        gain = step * slope
+        accept = f_trial >= fs + 1e-4 * gain
+        tol = POLISH_FTOL * np.maximum(np.abs(fs), 1.0)
+        flat = ~accept & (gain <= tol)
+        done = accept & ((f_trial - fs <= tol) | (np.abs(g_trial).max(axis=-1) <= POLISH_GTOL))
+        steps += accept
+        capped = accept & (steps >= POLISH_MAXITER)
+        s, y = trial - xs, gs - g_trial  # y: the change in the gradient of -rate
+        y_s = _dot(y, s)
+        curved = y_s > np.finfo(float).eps * _dot(gs, s)
+        xs = np.where(accept[:, None], trial, xs)
+        fs = np.where(accept, f_trial, fs)
+        gs = np.where(accept[:, None], g_trial, gs)
+        step = np.where(accept, 1.0, step / 2.0)
+
+        stop = flat | done | capped
+        moved = np.flatnonzero(accept & ~stop)
+        update = moved[curved[moved]]
+        s, y, y_s = s[update], y[update], y_s[update]
+        h = hs[update]
+        first = steps[update] == 1
+        h[first] = np.eye(9) * (y_s[first] / _dot(y[first], y[first]))[:, None, None]
+        hy = (h @ y[..., None])[..., 0]
+        rho = (1.0 / y_s)[:, None, None]
+        shy = s[:, :, None] * hy[:, None, :]
+        h -= rho * (shy + np.swapaxes(shy, -1, -2))
+        h += (rho + rho * rho * _dot(y, hy)[:, None, None]) * (s[:, :, None] * s[:, None, :])
+        hs[update] = h
+        ds[moved] = (hs[moved] @ gs[moved, :, None])[..., 0]
+        slope[moved] = _dot(gs[moved], ds[moved])
+        lost = moved[slope[moved] <= 0.0]  # rounding left H indefinite: restart from the identity
+        hs[lost], ds[lost], slope[lost] = np.eye(9), gs[lost], _dot(gs[lost], gs[lost])
+
+        if stop.any():
+            rows = live[stop]
+            x[rows], f[rows], evaluations[rows] = xs[stop], fs[stop], evals[stop]
+            converged[rows] = (flat | done & ~capped)[stop]
+            live, xs, fs, gs, evals, hs, ds, slope, step, steps = (
+                state[~stop] for state in (live, xs, fs, gs, evals, hs, ds, slope, step, steps))
+    return x, f, converged, evaluations
+
+
 def optimize_general(gamma: Angle, seed: int, ideal: RateResult | None = None) -> RateResult:
     """Lower-bound probe over every four-outcome von Neumann measurement and
     every prior on the four letters.
 
     Seeded simulated annealing of all restarts in lockstep (two of them
     warm-started from the product measurement and from the symmetric-family
-    optimum), then L-BFGS-B on the closed-form gradient from the best
-    annealed points and from both warm starts, so the result can only improve
-    on both.  converged is the success flag of the polish run that gave the
-    returned optimum.  The value is a lower bound on the two-shot capacity,
-    nothing more: the parameterization covers rotations only up to projector
-    sign, which is enough because outcomes are rank one.  ideal is
-    optimize_r2(gamma), the symmetric-family optimum, computed when omitted.
-    seed, an integer >= 0 (not a bool), is checked before any work.
-
-    The only caller of scipy in the package, which it imports on first use:
-    the other commands never load it.
+    optimum), then a BFGS ascent on the closed-form gradient from the best
+    annealed points and from both warm starts, all of them in lockstep (see
+    _polish_lockstep), so the result can only improve on both.  The returned
+    optimum is the best polished point, the first of equal ones; converged
+    is True when its row met the polish's gradient test (largest component
+    at most POLISH_GTOL) or its relative-gain test (POLISH_FTOL) before
+    POLISH_MAXITER steps.  iterations counts every rate evaluated.  The
+    value is a lower bound on the two-shot capacity, nothing more: the
+    parameterization covers rotations only up to projector sign, which is
+    enough because outcomes are rank one.  ideal is optimize_r2(gamma), the
+    symmetric-family optimum, computed when omitted.  seed, an integer >= 0
+    (not a bool), is checked before any work.
     """
-    from scipy.optimize import minimize
-
     _check_whole("seed", seed, 0)
     _check_open_range(gamma)
     letters = _letters_matrix(gamma)
@@ -529,26 +613,21 @@ def optimize_general(gamma: Angle, seed: int, ideal: RateResult | None = None) -
     annealed, annealed_f = _anneal_lockstep(x0, letters, rng, t0)
     evaluations = TEMPERATURE_SAMPLES + RESTARTS * (1 + LEVELS * PROPOSALS_PER_LEVEL)
 
-    def negative_rate(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        value, gradient = _rate_and_gradient(theta, letters)
-        return -value, -gradient
-
     order = np.argsort(-annealed_f, kind="stable")[:POLISH_CANDIDATES]
-    options = {"maxiter": POLISH_MAXITER, "ftol": POLISH_FTOL, "gtol": POLISH_GTOL}
-    polished = [minimize(negative_rate, x, jac=True, method="L-BFGS-B", options=options)
-                for x in [*annealed[order], *starts]]
-    evaluations += sum(int(result.nfev) for result in polished)
-    best = min(polished, key=lambda result: result.fun)  # the first of equal optima
+    polished, polished_f, converged, polish_evaluations = _polish_lockstep(
+        np.concatenate([annealed[order], starts]), letters)
+    evaluations += int(polish_evaluations.sum())
+    best = int(np.argmax(polished_f))  # the first of equal optima
 
-    best_x = best.x
+    best_x = polished[best]
     priors = _general_priors(best_x)
     params = {f"theta_{i}": float(best_x[i]) for i in range(6)}
     params.update({name: float(w) for name, w in zip(("p_a", "p_b", "p_c", "p_d"), priors)})
     return RateResult(
-        bits_per_transmission=-float(best.fun),
+        bits_per_transmission=float(polished_f[best]),
         params=params,
         iterations=evaluations,
-        converged=bool(best.success),
+        converged=bool(converged[best]),
         hyperparams={
             "restarts": float(RESTARTS),
             "cooling": COOLING,
