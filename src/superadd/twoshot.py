@@ -352,15 +352,9 @@ def optimize_r2(gamma: Angle) -> RateResult:
 # unconstrained search over the full two-shot span
 
 
-# Annealing-plus-gradient-polish settings of the unconstrained probe.
-RESTARTS = 20  # annealing chains, advanced together
-COOLING = 0.97  # geometric temperature factor per level
-TEMPERATURE_SAMPLES = 100  # initial temperature from this many random rates
-LEVELS = 100
-PROPOSALS_PER_LEVEL = 12
-STEP_SCALE = 0.35
-POLISH_CANDIDATES = 6
-POLISH_MAXITER = 500  # BFGS iterations (accepted steps) per polished candidate
+# Multistart gradient-polish settings of the unconstrained probe.
+STARTS = 40  # polished rows: both warm starts, then seeded random points
+POLISH_MAXITER = 500  # BFGS iterations (accepted steps) per polished row
 POLISH_FTOL = 1e-13  # relative rate gain at which the polish stops
 POLISH_GTOL = 1e-10  # largest gradient component at which the polish stops
 
@@ -379,22 +373,14 @@ def _general_priors(theta: np.ndarray) -> np.ndarray:
     return w
 
 
-def _general_rates(theta: np.ndarray, letters: np.ndarray) -> np.ndarray:
+def _rate_and_gradient(theta: np.ndarray, letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rates of arbitrary four-outcome measurements and four-letter priors,
-    over the leading axes of theta[..., 9].
+    over the leading axes of theta[..., 9], with their closed-form gradient,
+    of shape theta.shape.
 
     theta[..., :6] are plane-rotation angles (rows of the rotation are the
     measurement vectors), theta[..., 6:9] are prior logits relative to
     letter a.
-    """
-    amps = _givens_product(theta[..., :6]) @ letters.T  # (..., outcome, letter)
-    probs = np.square(amps, out=amps)
-    return mutual_information(probs, _general_priors(theta)) / 2.0
-
-
-def _rate_and_gradient(theta: np.ndarray, letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_general_rates over the leading axes of theta[..., 9], with its
-    closed-form gradient, of shape theta.shape.
 
     With amplitudes A = U L^T, U = G_0 ... G_5 and P = A^2, dI/dP_kx = pi_x
     log2(P_kx / m_k) and dI/dpi_x = sum_k P_kx (log2(P_kx / m_k) - 1/ln 2).
@@ -465,37 +451,6 @@ def _random_thetas(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.concatenate(
         [rng.uniform(0.0, 2.0 * math.pi, (count, 6)), rng.normal(0.0, 1.5, (count, 3))], axis=1
     )
-
-
-def _anneal_lockstep(x: np.ndarray, letters: np.ndarray, rng: np.random.Generator,
-                     t0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Metropolis chains from the rows of x[R, 9], advanced in lockstep: one
-    batched rate call per proposal step, acceptance decided row by row.
-    Returns each chain's best point and rate."""
-    x = x.copy()
-    f = _general_rates(x, letters)
-    best_x, best_f = x.copy(), f.copy()
-    temperature = t0
-    for _ in range(LEVELS):
-        scale = STEP_SCALE * max(temperature / t0, 0.05)
-        for _ in range(PROPOSALS_PER_LEVEL):
-            candidate = rng.normal(scale=scale, size=x.shape)
-            candidate += x
-            fc = _general_rates(candidate, letters)
-            # exp(min(fc - f, 0) / T): a move with fc >= f has chance exp(0) = 1,
-            # above every rng.random() draw, so it is always accepted
-            chance = fc - f
-            np.minimum(chance, 0.0, out=chance)
-            chance /= temperature
-            np.exp(chance, out=chance)
-            accept = rng.random(f.size) < chance
-            np.copyto(x, candidate, where=accept[:, None])
-            np.copyto(f, fc, where=accept)
-            improved = f > best_f
-            np.copyto(best_x, x, where=improved[:, None])
-            np.copyto(best_f, f, where=improved)
-        temperature *= COOLING
-    return best_x, best_f
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -584,14 +539,13 @@ def optimize_general(gamma: Angle, seed: int, ideal: RateResult | None = None) -
     """Lower-bound probe over every four-outcome von Neumann measurement and
     every prior on the four letters.
 
-    Seeded simulated annealing of all restarts in lockstep (two of them
-    warm-started from the product measurement and from the symmetric-family
-    optimum), then a BFGS ascent on the closed-form gradient from the best
-    annealed points and from both warm starts, all of them in lockstep (see
-    _polish_lockstep), so the result can only improve on both.  The returned
-    optimum is the best polished point, the first of equal ones; converged
-    is True when its row met the polish's gradient test (largest component
-    at most POLISH_GTOL) or its relative-gain test (POLISH_FTOL) before
+    One BFGS ascent on the closed-form gradient (see _polish_lockstep) from
+    STARTS rows in lockstep: the product measurement, the symmetric-family
+    optimum and STARTS - 2 random points drawn from default_rng(seed), so
+    the result can only improve on both warm starts.  The returned optimum
+    is the best polished point, the first of equal ones; converged is True
+    when its row met the polish's gradient test (largest component at most
+    POLISH_GTOL) or its relative-gain test (POLISH_FTOL) before
     POLISH_MAXITER steps.  iterations counts every rate evaluated.  The
     value is a lower bound on the two-shot capacity, nothing more: the
     parameterization covers rotations only up to projector sign, which is
@@ -604,19 +558,9 @@ def optimize_general(gamma: Angle, seed: int, ideal: RateResult | None = None) -
     letters = _letters_matrix(gamma)
     if ideal is None:
         ideal = optimize_r2(gamma)
-    starts = np.array([_product_measurement_start(gamma), _ansatz_start(ideal)])
-
-    rng = np.random.default_rng(seed)
-    samples = _general_rates(_random_thetas(rng, TEMPERATURE_SAMPLES), letters)
-    t0 = max(float(np.std(samples)), 1e-12)
-    x0 = np.concatenate([starts, _random_thetas(rng, RESTARTS - len(starts))])
-    annealed, annealed_f = _anneal_lockstep(x0, letters, rng, t0)
-    evaluations = TEMPERATURE_SAMPLES + RESTARTS * (1 + LEVELS * PROPOSALS_PER_LEVEL)
-
-    order = np.argsort(-annealed_f, kind="stable")[:POLISH_CANDIDATES]
-    polished, polished_f, converged, polish_evaluations = _polish_lockstep(
-        np.concatenate([annealed[order], starts]), letters)
-    evaluations += int(polish_evaluations.sum())
+    warm = [_product_measurement_start(gamma), _ansatz_start(ideal)]
+    x0 = np.concatenate([warm, _random_thetas(np.random.default_rng(seed), STARTS - len(warm))])
+    polished, polished_f, converged, evaluations = _polish_lockstep(x0, letters)
     best = int(np.argmax(polished_f))  # the first of equal optima
 
     best_x = polished[best]
@@ -626,20 +570,13 @@ def optimize_general(gamma: Angle, seed: int, ideal: RateResult | None = None) -
     return RateResult(
         bits_per_transmission=float(polished_f[best]),
         params=params,
-        iterations=evaluations,
+        iterations=int(evaluations.sum()),
         converged=bool(converged[best]),
         hyperparams={
-            "restarts": float(RESTARTS),
-            "cooling": COOLING,
-            "temperature_samples": float(TEMPERATURE_SAMPLES),
-            "levels": float(LEVELS),
-            "proposals_per_level": float(PROPOSALS_PER_LEVEL),
-            "step_scale": STEP_SCALE,
-            "polish_candidates": float(POLISH_CANDIDATES),
+            "starts": float(STARTS),
             "polish_maxiter": float(POLISH_MAXITER),
             "polish_ftol": POLISH_FTOL,
             "polish_gtol": POLISH_GTOL,
-            "initial_temperature": t0,
             "seed": float(seed),
         },
     )

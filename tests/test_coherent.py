@@ -244,7 +244,7 @@ class TestTruncatedRate:
             optimize(g)
             assert sum(calls.values()) == 0, calls
 
-    def test_grid_path_agrees_with_scalar_path(self):
+    def test_float_rate_agrees_with_readable_rate(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
             gamma_rad = rng.uniform(0.05, math.pi / 2 - 0.05)
