@@ -130,7 +130,7 @@ def _trunc_conditional_probs(gamma_rad: float) -> Callable:
 def optimize_r2_truncated(gamma: Angle) -> RateResult:
     """Best clipped-basis rate, re-optimizing eta for the clipped scoring.
 
-    The same golden-section search over the scaled angle u as the ideal
+    The same Brent search over the scaled angle u as the ideal
     family (see twoshot._u_search), with the same smallest supported angle,
     0.01 deg.  Re-optimizing eta after clipping can only raise the curve
     relative to reusing the ideal angle; the reused variant is available

@@ -288,13 +288,19 @@ def _u_search(conditional_probs_at: Callable[[float], Callable], gamma: Angle) -
     builds once per angle.
 
     The optimum lies on one ridge, eta* = pi/2 - u* gamma with u* in
-    0.756-1.108 at every angle, so a golden-section search (Kiefer 1953),
-    each new point the mirror of the kept one, maximizes R(u) =
-    rate(eta, p*(eta)) over the scaled angle u in [U_LO, U_HI], with eta =
-    pi/2 - u gamma taken modulo pi, the family's period.  p* comes from
-    _symmetric_prior_argmax, warm-started at the previous point's p (the
-    first at 0.25).  The search stops when its inner points are ETA_XATOL
-    apart in eta, ETA_XATOL / gamma apart in u, and reports the best point
+    0.756-1.108 at every angle, and the profile R(u) = rate(eta, p*(eta))
+    is smooth and unimodal there, so Brent's bounded search (Brent 1973,
+    ch. 5), parabolic steps safeguarded by golden sections, maximizes it
+    over the scaled angle u in [U_LO, U_HI], with eta = pi/2 - u gamma taken
+    modulo pi, the family's period.  p* comes from _symmetric_prior_argmax,
+    warm-started at the previous point's p (the first at 0.25).  The search
+    is scipy's bounded scalar search (fminbound) with an absolute tolerance
+    only, tol = ETA_XATOL / gamma / 3 in u: no step is shorter than tol, a
+    parabolic step that lands within 2 tol of an end of the bracket is
+    replaced by one of length tol towards its midpoint, so the ends of the u
+    window are never evaluated, and the search stops when the best point
+    lies within 2 tol - (bracket width)/2 of the bracket's midpoint, a
+    bracket about ETA_XATOL wide in eta.  It reports the best point
     evaluated, the later of equal ones; converged is False when the final
     bracket still holds an end of the u window.  iterations counts the float
     rates and the slope evaluations.
@@ -312,19 +318,44 @@ def _u_search(conditional_probs_at: Callable[[float], Callable], gamma: Angle) -
         evaluated.append((_symmetric_prior_rate(rows, p), eta, p, slope_evals))
         return evaluated[-1][0]
 
+    tol = ETA_XATOL / gamma_rad / 3.0
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
     lo, hi = U_LO, U_HI
-    golden = (math.sqrt(5.0) - 1.0) / 2.0 * (hi - lo)
-    left, right = hi - golden, lo + golden
-    f_left, f_right = profile(left), profile(right)
-    while (right - left) * gamma_rad > ETA_XATOL:
-        if f_left >= f_right:  # the maximum lies in [lo, right]
-            hi, right, f_right = right, left, f_left
-            left = lo + hi - right
-            f_left = profile(left)
+    # x the best point, w the second best and v the one before w
+    x = w = v = lo + golden * (hi - lo)
+    fx = fw = fv = profile(x)
+    step = previous = 0.0  # the last step and the one before it
+    while abs(x - (lo + hi) / 2.0) > 2.0 * tol - (hi - lo) / 2.0:
+        mid = (lo + hi) / 2.0
+        parabolic = False
+        if abs(previous) > tol:  # try the vertex of the parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            s = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                s = -s
+            q = abs(q)
+            r, previous = previous, step
+            if abs(s) < abs(0.5 * q * r) and q * (lo - x) < s < q * (hi - x):
+                parabolic = True
+                step = s / q
+                if x + step - lo < 2.0 * tol or hi - (x + step) < 2.0 * tol:
+                    step = math.copysign(tol, mid - x)
+        if not parabolic:  # a golden section of the larger side
+            previous = lo - x if x >= mid else hi - x
+            step = golden * previous
+        u = x + math.copysign(max(abs(step), tol), step)
+        fu = profile(u)
+        if fu >= fx:
+            lo, hi = (x, hi) if u >= x else (lo, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            lo, left, f_left = left, right, f_right
-            right = lo + hi - left
-            f_right = profile(right)
+            lo, hi = (u, hi) if u < x else (lo, u)
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
     best, eta, p, _ = max(reversed(evaluated), key=operator.itemgetter(0))  # ties: the later point
     return RateResult(
         bits_per_transmission=best,
@@ -338,7 +369,7 @@ def _u_search(conditional_probs_at: Callable[[float], Callable], gamma: Angle) -
 def optimize_r2(gamma: Angle) -> RateResult:
     """Best symmetric-family rate at the given overlap angle.
 
-    A golden-section search over the scaled angle u, eta = pi/2 - u gamma,
+    Brent's bounded search over the scaled angle u, eta = pi/2 - u gamma,
     with the prior solved exactly at each point (see _u_search);
     deterministic.  The smallest supported angle is 0.01 deg, where r2/c1
     still reads 1.0281785.  Smaller angles are not rejected, but there

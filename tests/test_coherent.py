@@ -1,4 +1,5 @@
 import math
+import operator
 import traceback
 from collections import Counter
 
@@ -20,7 +21,7 @@ from superadd.coherent import (
     two_shot_coherent_alphabet,
 )
 from superadd.statespace import Angle, MeasurementBasis
-from superadd.twoshot import (U_HI, U_LO, _ansatz_ensemble, _ideal_conditional_probs,
+from superadd.twoshot import (ETA_XATOL, U_HI, U_LO, _ansatz_ensemble, _ideal_conditional_probs,
                               _symmetric_prior_argmax, _symmetric_prior_rate, ansatz_basis,
                               optimize_r2)
 
@@ -385,6 +386,71 @@ def test_optimizer_values_pinned(gamma_deg, r2, r2trunc, r2trunc_reused):
     assert optimize_r2_truncated(g).bits_per_transmission == pytest.approx(r2trunc, rel=0, abs=1e-13)
     assert (optimize_r2_truncated_reused(g).bits_per_transmission
             == pytest.approx(r2trunc_reused, rel=0, abs=1e-9))
+
+
+# The clipped rate at the prior's argmax, at the ideal family's eta as the
+# golden-section u search reported it at PINNED_RATES' angles: the reused
+# variant's kernel, pinned without the eta search, to which it is first order.
+CLIPPED_RATES_AT_FIXED_ETA = [
+    (0.5, 1.5641960703611302, 5.647965693544865e-05),
+    (5.0, 1.5046200876688731, 0.0056276896416143085),
+    (18.7, 1.3138370223953904, 0.07505680529787984),
+    (45.0, 0.7358363056284261, 0.335613592384558),
+    (80.0, 0.1256207661089921, 0.46469236296622174),
+]
+
+
+@pytest.mark.parametrize("gamma_deg, eta, r2trunc", CLIPPED_RATES_AT_FIXED_ETA)
+def test_clipped_rate_pinned_at_a_fixed_eta(gamma_deg, eta, r2trunc):
+    rows = _trunc_conditional_probs(deg(gamma_deg).radians)(eta)
+    p, _ = _symmetric_prior_argmax(rows, 0.25)
+    assert _symmetric_prior_rate(rows, p) == pytest.approx(r2trunc, rel=0, abs=1e-13)
+
+
+def golden_u_search(conditional_probs, gamma_rad):
+    """(rate, eta) of the best point of a golden-section search (Kiefer 1953)
+    over the scaled angle u in [U_LO, U_HI], eta = pi/2 - u gamma, with the
+    prior solved at each point and warm-started as in twoshot._u_search,
+    stopping when its inner points are ETA_XATOL apart in eta: the oracle of
+    the u search's Brent steps, the search that they replaced."""
+    p = 0.25
+    evaluated = []  # (rate, eta)
+
+    def profile(u):
+        nonlocal p
+        eta = (math.pi / 2 - u * gamma_rad) % math.pi
+        rows = conditional_probs(eta)
+        p = _symmetric_prior_argmax(rows, p)[0]
+        evaluated.append((_symmetric_prior_rate(rows, p), eta))
+        return evaluated[-1][0]
+
+    lo, hi = U_LO, U_HI
+    golden = (math.sqrt(5) - 1) / 2 * (hi - lo)
+    left, right = hi - golden, lo + golden
+    f_left, f_right = profile(left), profile(right)
+    while (right - left) * gamma_rad > ETA_XATOL:
+        if f_left >= f_right:  # the maximum lies in [lo, right]
+            hi, right, f_right = right, left, f_left
+            left = lo + hi - right
+            f_left = profile(left)
+        else:
+            lo, left, f_left = left, right, f_right
+            right = lo + hi - left
+            f_right = profile(right)
+    return max(reversed(evaluated), key=operator.itemgetter(0))  # ties: the later point
+
+
+@pytest.mark.parametrize("gamma_deg", SMALL_ANGLES + np.linspace(2.5, 89.5, 40).tolist())
+def test_u_search_matches_the_golden_search(gamma_deg):
+    # Brent's steps reach the golden search's rate to rounding (3.3e-16 at
+    # worst over 997 angles in 0.01-89.7 deg) and its eta to 7.3e-8, within
+    # the ETA_XATOL-wide brackets that both stop on
+    g = deg(gamma_deg)
+    for conditional_probs_at, optimize in SYMMETRIC_OPTIMIZERS:
+        rate, eta = golden_u_search(conditional_probs_at(g.radians), g.radians)
+        result = optimize(g)
+        assert result.bits_per_transmission >= rate - 4.5e-16
+        assert abs(result.params["eta"] - eta) <= 1e-7
 
 
 @given(gamma_deg=st.floats(0.05, 89.9), family=st.sampled_from(SYMMETRIC_OPTIMIZERS))

@@ -232,10 +232,24 @@ class TestOptimizeR2:
         pytest.param(optimize_r2_truncated, 0.5, id="optimize_r2_truncated-0.5deg"),
     ])
     def test_grid_rates_under_a_third_of_its_cells(self, optimize, gamma_deg):
-        # a structural budget, not a timing: the u search takes 20-35 points
-        # of a few slope evaluations each, about 190-230 iterations here,
+        # a structural budget, not a timing: the u search takes 14-22 points
+        # of a few slope evaluations each, about 100-140 iterations here,
         # against 24,240 cells in the full (eta, p) grid
         assert optimize(deg(gamma_deg)).iterations < 400
+
+    @pytest.mark.parametrize("optimize", [optimize_r2, optimize_r2_truncated])
+    def test_u_search_takes_few_profile_points(self, optimize, monkeypatch):
+        # a structural budget, not a timing: Brent's search takes 9-30 profile
+        # points (one float rate each) a call over 0.01-89.7 deg, the golden
+        # section it replaced 20-39
+        calls = Counter()
+        rate = twoshot._symmetric_prior_rate
+        monkeypatch.setattr(twoshot, "_symmetric_prior_rate",
+                            lambda rows, p: calls.update(["rate"]) or rate(rows, p))
+        for gamma_deg in np.linspace(0.01, 89.7, 312).tolist():
+            calls.clear()
+            optimize(deg(gamma_deg))
+            assert 0 < calls["rate"] <= 32, gamma_deg
 
     @pytest.mark.parametrize("optimize", [optimize_r2, optimize_r2_truncated])
     @pytest.mark.parametrize("gamma_deg", [0.05, 0.5, 1.2, 17, 45])
@@ -259,6 +273,15 @@ class TestOptimizeR2:
             return lambda eta: conditional_probs(eta + 0.2)
 
         assert _u_search(_ideal_conditional_probs, deg(12)).converged
+        assert not _u_search(shifted_at, deg(12)).converged
+
+    def test_not_converged_when_the_maximum_leaves_the_box_below(self):
+        # the profile shifted by -0.2 rad puts the maximum at u* - 0.2 / gamma,
+        # below the u window's lower end
+        def shifted_at(gamma_rad):
+            conditional_probs = _ideal_conditional_probs(gamma_rad)
+            return lambda eta: conditional_probs(eta - 0.2)
+
         assert not _u_search(shifted_at, deg(12)).converged
 
     def test_domain(self):
