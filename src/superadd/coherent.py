@@ -10,9 +10,9 @@ two-photon event from the single-photon ones, which is what makes it
 experimentally convenient, at a small cost in rate.
 
 Rates computed here score the clipped basis against the untruncated signal
-letters: the signals still carry their two-photon amplitude even though the
-measurement ignores it, so the measurement is completed with the two-photon
-projector as a fourth outcome to keep the outcome distribution normalized.
+letters, which still carry their two-photon amplitude.  The readable
+measurement is completed with the two-photon projector, an outcome of
+probability sin^4(gamma/2) for every letter: the optimizers leave it out.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from .twoshot import (ANSATZ_HYPERPARAMS, SQRT2, _check_open_range, _symmetric_c
 
 def alpha_from_gamma(gamma: Angle) -> float:
     """Coherent amplitude reproducing the overlap cos(gamma) after truncation:
-    alpha = sqrt((1 - cos gamma) / (1 + cos gamma))."""
-    cg = math.cos(gamma.radians)
-    return math.sqrt((1.0 - cg) / (1.0 + cg))
+    alpha = sqrt((1 - cos gamma) / (1 + cos gamma)) = tan(gamma/2)."""
+    return math.tan(gamma.radians / 2.0)
 
 
 def coherent_states(gamma: Angle) -> tuple[StateVector, StateVector]:
@@ -116,15 +115,13 @@ def _clipped_amplitudes(ce, se, alpha, l0, l1):
 
 
 def _trunc_conditional_probs(gamma_rad: float) -> Callable:
-    """eta -> the (outcome, letter) rows of the completed clipped basis at
-    one angle (see twoshot._symmetric_conditional_probs); the eta-independent
-    letters are built once per angle."""
-    gamma = Angle(gamma_rad)
-    alpha = alpha_from_gamma(gamma)
-    l0, l1, _, l3 = two_shot_coherent_alphabet(gamma)[2].coords.tolist()  # letter c
-    two_photon = l3 * l3  # fourth outcome, the same for every letter
-    return _symmetric_conditional_probs(lambda ce, se: _clipped_amplitudes(ce, se, alpha, l0, l1),
-                                        fixed_rows=[(two_photon,) * 3])
+    """eta -> the (outcome, letter) rows of the three clipped outcomes at one
+    angle (see twoshot._symmetric_conditional_probs), without the
+    letter-independent two-photon one.  Letter c's coordinates below two
+    photons are 1/(1 + alpha^2) = (1 + cos gamma)/2, alpha/(1 + alpha^2) = sin(gamma)/2."""
+    alpha = alpha_from_gamma(Angle(gamma_rad))
+    l0, l1 = (1.0 + math.cos(gamma_rad)) / 2.0, math.sin(gamma_rad) / 2.0
+    return _symmetric_conditional_probs(lambda ce, se: _clipped_amplitudes(ce, se, alpha, l0, l1))
 
 
 def optimize_r2_truncated(gamma: Angle) -> RateResult:

@@ -68,7 +68,7 @@ class StateVector:
         if coords.ndim != 1 or coords.size == 0:
             raise ValueError("state vector needs a nonempty 1-d coordinate list")
         norm = float(np.linalg.norm(coords))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN
             raise ValueError(f"state vector norm {norm} is off unit by more than {NORM_TOL}")
 
     @property

@@ -142,20 +142,19 @@ def _ansatz_ensemble(p: float, letters: tuple[StateVector, ...]) -> Ensemble:
     return Ensemble(((p, a), (p, b), (1.0 - 2.0 * p, c)))
 
 
-def _symmetric_conditional_probs(amplitudes: Callable, fixed_rows=()) -> Callable:
+def _symmetric_conditional_probs(amplitudes: Callable) -> Callable:
     """eta -> the (outcome, letter) rows of a symmetric family on the letters
     (a, b, c) at a float eta, as a list of tuples of Python floats.
 
     amplitudes(cos eta, sin eta) returns (A1a, A1b, A1c, A3a, A3c): e2 is
     the a <-> b mirror of e1 and A3b = A3a, so the outcome rows are the
-    squares of (A1a, A1b, A1c), (A1b, A1a, A1c) and (A3a, A3a, A3c).  The
-    rows of fixed_rows, the same at every eta, follow them.  The cosine and
-    sine are numpy's, which may round differently from the math module's.
+    squares of (A1a, A1b, A1c), (A1b, A1a, A1c) and (A3a, A3a, A3c), from
+    numpy's cosine and sine, which may round differently from the math module's.
     """
     def conditional_probs(eta: float) -> list[tuple[float, ...]]:
         pa1, pb1, pc1, pa3, pc3 = (amp * amp for amp in amplitudes(float(np.cos(eta)),
                                                                    float(np.sin(eta))))
-        return [(pa1, pb1, pc1), (pb1, pa1, pc1), (pa3, pa3, pc3), *fixed_rows]
+        return [(pa1, pb1, pc1), (pb1, pa1, pc1), (pa3, pa3, pc3)]
 
     return conditional_probs
 
@@ -300,30 +299,30 @@ def _u_search(conditional_probs_at: Callable[[float], Callable], gamma: Angle) -
     replaced by one of length tol towards its midpoint, so the ends of the u
     window are never evaluated, and the search stops when the best point
     lies within 2 tol - (bracket width)/2 of the bracket's midpoint, a
-    bracket about ETA_XATOL wide in eta.  It reports the best point
+    bracket about ETA_XATOL wide in eta.  It reports x, the best point
     evaluated, the later of equal ones; converged is False when the final
     bracket still holds an end of the u window.  iterations counts the float
     rates and the slope evaluations.
     """
     gamma_rad = _check_open_range(gamma)
     conditional_probs = conditional_probs_at(gamma_rad)
-    p = 0.25
-    evaluated = []  # (rate, eta, p, slope evaluations)
+    p, iterations = 0.25, 0
 
-    def profile(u: float) -> float:
-        nonlocal p
+    def profile(u: float) -> tuple[float, dict]:  # the rate at u and its (eta, p)
+        nonlocal p, iterations
         eta = (math.pi / 2.0 - u * gamma_rad) % math.pi
         rows = conditional_probs(eta)
         p, slope_evals = _symmetric_prior_argmax(rows, p)
-        evaluated.append((_symmetric_prior_rate(rows, p), eta, p, slope_evals))
-        return evaluated[-1][0]
+        iterations += 1 + slope_evals
+        return _symmetric_prior_rate(rows, p), {"eta": eta, "p": p}
 
     tol = ETA_XATOL / gamma_rad / 3.0
     golden = (3.0 - math.sqrt(5.0)) / 2.0
     lo, hi = U_LO, U_HI
     # x the best point, w the second best and v the one before w
     x = w = v = lo + golden * (hi - lo)
-    fx = fw = fv = profile(x)
+    fx, x_params = profile(x)
+    fw = fv = fx
     step = previous = 0.0  # the last step and the one before it
     while abs(x - (lo + hi) / 2.0) > 2.0 * tol - (hi - lo) / 2.0:
         mid = (lo + hi) / 2.0
@@ -346,21 +345,20 @@ def _u_search(conditional_probs_at: Callable[[float], Callable], gamma: Angle) -
             previous = lo - x if x >= mid else hi - x
             step = golden * previous
         u = x + math.copysign(max(abs(step), tol), step)
-        fu = profile(u)
-        if fu >= fx:
+        fu, u_params = profile(u)
+        if fu >= fx:  # so x is the best point, the later of equal ones
             lo, hi = (x, hi) if u >= x else (lo, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+            v, fv, w, fw, x, fx, x_params = w, fw, x, fx, u, fu, u_params
         else:
             lo, hi = (u, hi) if u < x else (lo, u)
             if fu >= fw or w == x:
                 v, fv, w, fw = w, fw, u, fu
             elif fu >= fv or v == x or v == w:
                 v, fv = u, fu
-    best, eta, p, _ = max(reversed(evaluated), key=operator.itemgetter(0))  # ties: the later point
     return RateResult(
-        bits_per_transmission=best,
-        params={"eta": eta, "p": p},
-        iterations=sum(1 + slope_evals for *_, slope_evals in evaluated),
+        bits_per_transmission=fx,
+        params=x_params,
+        iterations=iterations,
         converged=U_LO < lo and hi < U_HI,
         hyperparams=dict(ANSATZ_HYPERPARAMS),
     )

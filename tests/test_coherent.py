@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from superadd import coherent
-from superadd.capacities import c1, measured_mutual_information, mutual_information
+from superadd.capacities import Ensemble, c1, measured_mutual_information, mutual_information
 from superadd.coherent import (
     _trunc_conditional_probs,
     alpha_from_gamma,
@@ -20,7 +20,7 @@ from superadd.coherent import (
     photon_basis,
     two_shot_coherent_alphabet,
 )
-from superadd.statespace import Angle, MeasurementBasis
+from superadd.statespace import Angle, MeasurementBasis, StateVector
 from superadd.twoshot import (ETA_XATOL, U_HI, U_LO, _ansatz_ensemble, _ideal_conditional_probs,
                               _symmetric_prior_argmax, _symmetric_prior_rate, ansatz_basis,
                               optimize_r2)
@@ -83,6 +83,14 @@ class TestAmplitudeMap:
 
     def test_orthogonal_angle(self):
         assert alpha_from_gamma(deg(90)) == pytest.approx(1.0, abs=1e-15)
+
+    def test_matches_half_angle_tangent(self):
+        # alpha = tan(gamma/2) to rounding down to 1e-9 deg, where
+        # sqrt((1 - cos gamma)/(1 + cos gamma)) loses every digit
+        for d in np.geomspace(1e-9, 89.99, 200).tolist():
+            gamma = deg(d)
+            exact = mpmath.tan(mpmath.mpf(gamma.radians) / 2)
+            assert abs(alpha_from_gamma(gamma) - exact) <= 4e-16 * exact, d
 
     def test_mean_photon_number_stays_weak(self):
         # at the widest superadditive angle the mean photon number alpha^2
@@ -160,14 +168,27 @@ class TestTruncatedBasis:
     def test_closed_form_equals_lowdin_basis(self, gamma_deg, eta, p):
         # the rank-one closed form of the optimizers against the polar
         # factor of the clipped rows by SVD, down to angles where the
-        # two-photon column t vanishes
+        # two-photon column t vanishes: the probabilities of the three
+        # informative outcomes, and the rate of the complete measurement
         gamma = deg(gamma_deg)
         letters = np.vstack([s.coords for s in two_shot_coherent_alphabet(gamma)[:3]])
-        rows = scoring_rows(eta, gamma)
+        rows = scoring_rows(eta, gamma)[:3]
         probs = _trunc_conditional_probs(gamma.radians)(eta)
         assert np.abs(np.array(probs) - (rows @ letters.T) ** 2).max() <= 1e-14
         assert (_symmetric_prior_rate(probs, p)
                 == pytest.approx(rate_truncated(eta, p, gamma), rel=0, abs=1e-14))
+
+    def test_two_photon_outcome_carries_no_information(self):
+        # the outcome that the optimizers leave out has the same probability,
+        # sin^4(gamma/2), for letters a, b and c
+        for d in np.geomspace(1e-9, 89.99, 60).tolist():
+            gamma = deg(d)
+            letters = np.vstack([s.coords for s in two_shot_coherent_alphabet(gamma)[:3]])
+            two_photon = ((scoring_rows(0.7, gamma) @ letters.T) ** 2)[3].tolist()
+            assert two_photon[0] == two_photon[1] == two_photon[2], d
+            with mpmath.workdps(50):
+                exact = mpmath.sin(mpmath.mpf(gamma.radians) / 2) ** 4
+                assert abs(two_photon[0] - exact) <= 4e-15 * exact, d
 
     def test_distortion_scales_with_alpha(self):
         def gap(d):
@@ -218,6 +239,21 @@ class TestTruncatedRate:
             optimize(deg(17.1))
             assert calls["alpha_from_gamma"] >= 1
             assert max(calls.values()) <= 2, (optimize.__name__, calls)
+
+    def test_no_state_objects_built(self, monkeypatch):
+        # both symmetric families score closed forms: no validated state,
+        # ensemble or basis is built on their optimizer paths
+        built = Counter()
+        for cls in (StateVector, Ensemble, MeasurementBasis):
+            init = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, init=init: built.update([type(self).__name__]) or init(self))
+        g = deg(17.1)
+        for optimize in (optimize_r2, optimize_r2_truncated, optimize_r2_truncated_reused):
+            optimize(g)
+        assert not built, built
+        two_shot_coherent_alphabet(g)
+        assert built["StateVector"] > 0  # the hook sees the readable construction
 
     def test_prior_tail_makes_no_einsum_call(self, monkeypatch):
         # the symmetric prior tail writes its sums out, and the clipped basis

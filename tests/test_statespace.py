@@ -118,6 +118,12 @@ class TestStateVectorInvariants:
         with pytest.raises(ValueError, match="norm"):
             StateVector(np.array([1.0, 1.0]))
 
+    def test_nan_rejected(self):
+        # a NaN norm compares False against every tolerance, so the check
+        # must be written to fail on it
+        with pytest.raises(ValueError, match="norm"):
+            StateVector(np.array([np.nan, 0.0]))
+
     def test_coords_frozen(self):
         s = StateVector(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
@@ -125,6 +131,10 @@ class TestStateVectorInvariants:
 
 
 class TestMeasurementBasisInvariants:
+    def test_rejects_nan_rows(self):
+        with pytest.raises(ValueError, match="norm"):
+            MeasurementBasis.from_rows([[np.nan, 0.0], [0.0, 1.0]])
+
     def test_rejects_non_orthogonal(self):
         v1 = StateVector(np.array([1.0, 0.0]))
         v2 = StateVector(np.array([math.cos(0.3), math.sin(0.3)]))

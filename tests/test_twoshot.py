@@ -24,6 +24,7 @@ from superadd.twoshot import (
     _ideal_conditional_probs,
     _letters_matrix,
     _polish_lockstep,
+    _random_thetas,
     _rate_and_gradient,
     _rotation_angles,
     _symmetric_prior_argmax,
@@ -231,7 +232,7 @@ class TestOptimizeR2:
         pytest.param(optimize_r2, 0.5, id="optimize_r2-0.5deg"),
         pytest.param(optimize_r2_truncated, 0.5, id="optimize_r2_truncated-0.5deg"),
     ])
-    def test_grid_rates_under_a_third_of_its_cells(self, optimize, gamma_deg):
+    def test_u_search_iterations_stay_in_budget(self, optimize, gamma_deg):
         # a structural budget, not a timing: the u search takes 14-22 points
         # of a few slope evaluations each, about 100-140 iterations here,
         # against 24,240 cells in the full (eta, p) grid
@@ -253,10 +254,10 @@ class TestOptimizeR2:
 
     @pytest.mark.parametrize("optimize", [optimize_r2, optimize_r2_truncated])
     @pytest.mark.parametrize("gamma_deg", [0.05, 0.5, 1.2, 17, 45])
-    def test_grid_memory_stays_small(self, optimize, gamma_deg):
-        # a structural budget, not a timing: the search holds a few dozen
-        # evaluated points and one point's rows, so a call's traced peak is
-        # a few KB; rating the full (eta, p) grid takes about 1 MB
+    def test_u_search_memory_stays_small(self, optimize, gamma_deg):
+        # a structural budget, not a timing: the search holds its three Brent
+        # points and one point's rows, so a call's traced peak is a few KB;
+        # rating the full (eta, p) grid takes about 1 MB
         tracemalloc.start()
         try:
             optimize(deg(gamma_deg))
@@ -440,6 +441,17 @@ class TestOptimizeGeneral:
         assert optimize_general(deg(10), seed=4).converged
         monkeypatch.setattr(twoshot, "POLISH_MAXITER", 1)
         assert not optimize_general(deg(10), seed=4).converged
+
+    def test_polish_cap_stops_every_row_unconverged(self, monkeypatch):
+        # the cap checked on the polish itself, not through which row wins:
+        # all 38 random rows converge at the default cap, and at a cap of
+        # one step each stops after its first accepted step, unconverged
+        x, letters = _random_thetas(np.random.default_rng(4), 38), _letters_matrix(deg(10))
+        assert _polish_lockstep(x, letters)[2].all()
+        monkeypatch.setattr(twoshot, "POLISH_MAXITER", 1)
+        _, _, converged, evaluations = _polish_lockstep(x, letters)
+        assert not converged.any()
+        assert evaluations.tolist() == [2] * 38
 
     def test_converged_at_the_symmetric_optimum(self):
         # gate 6's sixth angle, 9.98 deg, where the probe confirms the
