@@ -171,8 +171,8 @@ def mutual_information(probs: np.ndarray, priors: np.ndarray) -> np.ndarray:
     # may commute, but the grouping of a sum may not change: the
     # prior-weighted sum as matmul or as (h * w).sum(-1) rounds differently
     # from the einsum.  The pinned symmetric-family values do not come
-    # through here: they depend on the summation order written out in
-    # twoshot._symmetric_prior_rate.
+    # through here: twoshot._symmetric_prior_terms rates them in its own
+    # summation order, within 1e-15 of this kernel.
     mixture = np.einsum("...kx,...x->...k", probs, priors)
     mixture_terms = _xlog2x(mixture).sum(axis=-1)  # -H(mixture)
     letter_terms = _xlog2x(probs).sum(axis=-2)  # -H(letter x), over x

@@ -25,7 +25,7 @@ import numpy as np
 from .capacities import RateResult
 from .statespace import Angle, StateVector, _two_shot_letters
 from .twoshot import (ANSATZ_HYPERPARAMS, SQRT2, _check_open_range, _symmetric_conditional_probs,
-                      _symmetric_prior_argmax, _symmetric_prior_rate, _u_search, optimize_r2)
+                      _symmetric_prior_argmax, _u_search, optimize_r2)
 
 
 def alpha_from_gamma(gamma: Angle) -> float:
@@ -138,18 +138,18 @@ def optimize_r2_truncated(gamma: Angle) -> RateResult:
 
 def optimize_r2_truncated_reused(gamma: Angle, ideal: RateResult | None = None) -> RateResult:
     """Clipped-basis rate at the ideal family's optimal eta, with the prior
-    solved exactly by twoshot._symmetric_prior_argmax, warm-started from the
-    ideal family's p.  ideal is optimize_r2(gamma), computed when omitted."""
+    and its rate solved exactly by twoshot._symmetric_prior_argmax,
+    warm-started from the ideal family's p.  ideal is optimize_r2(gamma), computed when omitted."""
     g = _check_open_range(gamma)
     if ideal is None:
         ideal = optimize_r2(gamma)
     eta = ideal.params["eta"]
     probs = _trunc_conditional_probs(g)(eta)  # (outcome, letter)
-    p, slope_evals = _symmetric_prior_argmax(probs, ideal.params["p"])
+    p, rate, evals = _symmetric_prior_argmax(probs, ideal.params["p"])
     return RateResult(
-        bits_per_transmission=_symmetric_prior_rate(probs, p),
+        bits_per_transmission=rate,
         params={"eta": eta, "p": p},
-        iterations=slope_evals + ideal.iterations,
+        iterations=evals + ideal.iterations,
         converged=ideal.converged,
         hyperparams=dict(ANSATZ_HYPERPARAMS),
     )

@@ -18,9 +18,7 @@ capacity.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from typing import Callable
 
 import numpy as np
@@ -149,11 +147,10 @@ def _symmetric_conditional_probs(amplitudes: Callable) -> Callable:
     amplitudes(cos eta, sin eta) returns (A1a, A1b, A1c, A3a, A3c): e2 is
     the a <-> b mirror of e1 and A3b = A3a, so the outcome rows are the
     squares of (A1a, A1b, A1c), (A1b, A1a, A1c) and (A3a, A3a, A3c), from
-    numpy's cosine and sine, which may round differently from the math module's.
+    the math module's cosine and sine.
     """
     def conditional_probs(eta: float) -> list[tuple[float, ...]]:
-        pa1, pb1, pc1, pa3, pc3 = (amp * amp for amp in amplitudes(float(np.cos(eta)),
-                                                                   float(np.sin(eta))))
+        pa1, pb1, pc1, pa3, pc3 = (amp * amp for amp in amplitudes(math.cos(eta), math.sin(eta)))
         return [(pa1, pb1, pc1), (pb1, pa1, pc1), (pa3, pa3, pc3)]
 
     return conditional_probs
@@ -178,100 +175,77 @@ def _ideal_conditional_probs(gamma_rad: float) -> Callable:
     return _symmetric_conditional_probs(amplitudes)
 
 
-def _prior_weighted(a, b, c, p, q):
-    """a p + b p + c q over the letters (a, b, c), summed as (a p + c q) + b p."""
-    return (a * p + c * q) + b * p
-
-
-def _symmetric_prior_rate(rows, p: float) -> float:
-    """One rate, in Python floats, from the rows (P_a, P_b, P_c) of each
-    outcome at prior p: half of H(mixture) - sum_x prior_x H(letter x) for
-    the priors (p, p, q), q = 1 - 2p.
-
-    The mixture of each outcome is (P_a p + P_c q) + P_b p, the letter
-    entropies are weighted in the same order, and each entropy sums its
-    x log2 x terms over the outcomes in order.  This order makes the rate
-    equal, bit for bit, to that of the general kernel,
-    capacities.mutual_information, on the same priors; any other rounds
-    differently in the last bit.  One np.log2 call takes every logarithm,
-    because math.log2 rounds differently from it.  Zeros take the logarithm
-    of 1.0, so their x log2 x terms are 0.0, as in capacities._xlog2x.
-    """
-    q = 1.0 - 2.0 * p
-    flat = []  # a, b, c and the mixture of each outcome in turn
+def _symmetric_prior_terms(rows) -> Callable[[float], tuple[float, float, float]]:
+    """p -> the rate, twice its slope and twice its curvature in p, in Python
+    floats, of the symmetric family's priors (p, p, q), q = 1 - 2p, on the
+    (outcome, letter) rows (a, b, c): the rate is half of H(mixture) -
+    sum_x prior_x H(letter x), the sum over the rows of
+    p (a log2 a + b log2 b) + q c log2 c - m log2 m with the mixture
+    m = (a + b) p + c q; the slope and the curvature are the sums of
+    a log2 a + b log2 b - 2 c log2 c - d log2 m and of -d^2 / (m ln 2), with
+    d = a + b - 2c, whose 1/ln 2 term drops out because the d sum to zero.
+    A zero m with d != 0 at p = 0 or 0.5 makes the slope infinite, with the
+    sign of d; between them m is zero only by underflow, and the row's
+    slope terms, below 1e-300, are left out.  Zero probabilities add no
+    x log2 x term.  The terms that do not depend on p are taken once per
+    rows, so each p takes one logarithm per row, which all three share."""
+    terms = []  # a log2 a + b log2 b, c log2 c, the slope's p-free term, d, a + b and c of each row
     for a, b, c in rows:
-        flat += (a, b, c, _prior_weighted(a, b, c, p, q))
-    logs = np.log2(np.array([x if x > 0.0 else 1.0 for x in flat])).tolist()
-    terms = [x * log for x, log in zip(flat, logs)]
-    h_a, h_b, h_c, h_mixture = (-functools.reduce(operator.add, terms[k::4]) for k in range(4))
-    return (h_mixture - _prior_weighted(h_a, h_b, h_c, p, q)) / 2.0
-
-
-def _symmetric_prior_slope(rows) -> Callable[[float], tuple[float, float]]:
-    """p -> twice the slope and twice the curvature in p of
-    _symmetric_prior_rate(rows, p), in Python floats: the sums over the
-    (outcome, letter) rows (a, b, c) of a log2 a + b log2 b - 2 c log2 c
-    - d log2 m and of -d^2 / (m ln 2), with d = a + b - 2c and the mixture
-    m = (a + b) p + c (1 - 2p); the slope's 1/ln 2 term drops out because
-    the d sum to zero.  A zero m with d != 0 at p = 0 or 0.5 makes the slope
-    infinite, with the sign of d; between them m is zero only by underflow,
-    and the row's terms, the slope's below 1e-300, are left out.  The terms
-    that do not depend on p are taken once per rows, so each p takes one
-    logarithm per row."""
-    terms = []  # (a log2 a + b log2 b) + (-2c) log2 c, d, a + b and c of each row
-    for a, b, c in rows:
-        row = a * math.log2(a) if a else 0.0
+        ab = a * math.log2(a) if a else 0.0
         if b:
-            row += b * math.log2(b)
-        if c:
-            row += -2.0 * c * math.log2(c)
-        terms.append((row, a + b - 2.0 * c, a + b, c))
+            ab += b * math.log2(b)
+        log_c = math.log2(c) if c else 0.0
+        terms.append((ab, c * log_c, ab + -2.0 * c * log_c, a + b - 2.0 * c, a + b, c))
 
-    def slope_at(p: float) -> tuple[float, float]:
-        slope = curvature = 0.0
+    def at(p: float) -> tuple[float, float, float]:
+        rate = slope = curvature = 0.0
         q = 1.0 - 2.0 * p
-        for row, d, ab, c in terms:
+        for ab, cl, row, d, s, c in terms:
+            m = s * p + c * q
+            lm = math.log2(m) if m else 0.0
+            rate += p * ab + q * cl - m * lm
             slope += row
-            m = ab * p + c * q
             if d and m:
-                slope -= d * math.log2(m)
+                slope -= d * lm
                 curvature -= d * d / (m * LN2)
             elif d and p in (0.0, 0.5):
                 slope += math.copysign(math.inf, d)
-        return slope, curvature
+        return rate / 2.0, slope, curvature
 
-    return slope_at
+    return at
 
 
-def _symmetric_prior_argmax(rows, start: float) -> tuple[float, int]:
-    """The prior p in [0, 0.5] that maximizes _symmetric_prior_rate(rows, p),
-    and the number of slope evaluations taken.  The rate is concave in the
-    prior at a fixed measurement (Gallager 1968, sec. 4.5) and (p, p, 1 - 2p)
-    is affine in p, so the slope falls with p: p is 0.5 if the slope there is
-    >= 0.  Otherwise Newton steps on the slope, from start (from 0.25 if start
-    is not inside (0, 0.5)), run inside the bracket [lo, hi] of the last
-    points with slope >= 0 and < 0, and bisect it when a step leaves it.  The
+def _symmetric_prior_argmax(rows, start: float) -> tuple[float, float, int]:
+    """The prior p in [0, 0.5] that maximizes the rate of
+    _symmetric_prior_terms(rows), that rate, and the number of kernel
+    evaluations taken.  The rate is concave in the prior at a fixed
+    measurement (Gallager 1968, sec. 4.5) and (p, p, 1 - 2p) is affine in p,
+    so the slope falls with p: p is 0.5 if the slope there is >= 0.
+    Otherwise Newton steps on the slope, from start (from 0.25 if start is
+    not inside (0, 0.5)), run inside the bracket [lo, hi] of the last points
+    with slope >= 0 and < 0, and bisect it when a step leaves it.  The
     search stops at the point that its own Newton step leaves unchanged, or,
     when the bracket can no longer be bisected or is to be bisected with hi
-    at or below math.ulp(0.5), at its lower end: priors that small move the
-    rate by less than its rounding, and bisecting on would halve hi down
-    through the subnormals."""
-    slope_at = _symmetric_prior_slope(rows)
-    if slope_at(0.5)[0] >= 0.0:
-        return 0.5, 1
+    at or below math.ulp(0.5), at its lower end, rated by one more
+    evaluation: priors that small move the rate by less than its rounding,
+    and bisecting on would halve hi down through the subnormals."""
+    at = _symmetric_prior_terms(rows)
+    rate, slope, _ = at(0.5)
+    if slope >= 0.0:
+        return 0.5, rate, 1
     lo, hi, evals = 0.0, 0.5, 1
     p = start if lo < start < hi else 0.25
     while True:
         evals += 1
-        slope, curvature = slope_at(p)
+        rate, slope, curvature = at(p)
         step = p - slope / curvature if curvature else math.nan  # zero: linear in p, bisect
         if step == p:  # before the bracket, which now ends at p
-            return p, evals
+            return p, rate, evals
         lo, hi = (p, hi) if slope >= 0.0 else (lo, p)
         if not lo < step < hi:
             step = (lo + hi) / 2.0
             if not lo < step < hi or hi <= math.ulp(0.5):
-                return lo, evals
+                return lo, at(lo)[0], evals + 1
         p = step
 
 
@@ -301,8 +275,9 @@ def _u_search(conditional_probs_at: Callable[[float], Callable], gamma: Angle) -
     lies within 2 tol - (bracket width)/2 of the bracket's midpoint, a
     bracket about ETA_XATOL wide in eta.  It reports x, the best point
     evaluated, the later of equal ones; converged is False when the final
-    bracket still holds an end of the u window.  iterations counts the float
-    rates and the slope evaluations.
+    bracket still holds an end of the u window.  iterations counts the
+    evaluations of _symmetric_prior_terms, each of which gives the rate, the
+    slope and the curvature.
     """
     gamma_rad = _check_open_range(gamma)
     conditional_probs = conditional_probs_at(gamma_rad)
@@ -312,9 +287,9 @@ def _u_search(conditional_probs_at: Callable[[float], Callable], gamma: Angle) -
         nonlocal p, iterations
         eta = (math.pi / 2.0 - u * gamma_rad) % math.pi
         rows = conditional_probs(eta)
-        p, slope_evals = _symmetric_prior_argmax(rows, p)
-        iterations += 1 + slope_evals
-        return _symmetric_prior_rate(rows, p), {"eta": eta, "p": p}
+        p, rate, evals = _symmetric_prior_argmax(rows, p)
+        iterations += evals
+        return rate, {"eta": eta, "p": p}
 
     tol = ETA_XATOL / gamma_rad / 3.0
     golden = (3.0 - math.sqrt(5.0)) / 2.0
