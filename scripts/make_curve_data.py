@@ -8,9 +8,9 @@ Writes, under --out-dir (default results/):
 
 The two-shot sweep is the slow one: three optimizations per grid point, the
 reused-eta column taking its eta from the row's r2 optimum.  The whole script
-takes about 0.4 s on a shared 2-vCPU host, about 0.28 s of it starting Python
+takes about 0.17 s on a shared 2-vCPU host, about 0.12 s of it starting Python
 and importing superadd with numpy (scipy is not loaded); pass --quick for
-coarser grids (about 0.35 s).
+coarser grids (about 0.14 s).
 """
 
 import argparse

@@ -138,18 +138,17 @@ def optimize_r2_truncated(gamma: Angle) -> RateResult:
 
 def optimize_r2_truncated_reused(gamma: Angle, ideal: RateResult | None = None) -> RateResult:
     """Clipped-basis rate at the ideal family's optimal eta, with the prior
-    and its rate solved exactly by twoshot._symmetric_prior_argmax,
-    warm-started from the ideal family's p.  ideal is optimize_r2(gamma), computed when omitted."""
+    solved by twoshot._symmetric_prior_argmax; ideal is optimize_r2(gamma),
+    computed when omitted, and iterations is its count plus this one solve."""
     g = _check_open_range(gamma)
     if ideal is None:
         ideal = optimize_r2(gamma)
     eta = ideal.params["eta"]
-    probs = _trunc_conditional_probs(g)(eta)  # (outcome, letter)
-    p, rate, evals = _symmetric_prior_argmax(probs, ideal.params["p"])
+    p, rate = _symmetric_prior_argmax(_trunc_conditional_probs(g)(eta))
     return RateResult(
         bits_per_transmission=rate,
         params={"eta": eta, "p": p},
-        iterations=evals + ideal.iterations,
+        iterations=ideal.iterations + 1,
         converged=ideal.converged,
         hyperparams=dict(ANSATZ_HYPERPARAMS),
     )

@@ -175,78 +175,55 @@ def _ideal_conditional_probs(gamma_rad: float) -> Callable:
     return _symmetric_conditional_probs(amplitudes)
 
 
-def _symmetric_prior_terms(rows) -> Callable[[float], tuple[float, float, float]]:
-    """p -> the rate, twice its slope and twice its curvature in p, in Python
-    floats, of the symmetric family's priors (p, p, q), q = 1 - 2p, on the
-    (outcome, letter) rows (a, b, c): the rate is half of H(mixture) -
-    sum_x prior_x H(letter x), the sum over the rows of
-    p (a log2 a + b log2 b) + q c log2 c - m log2 m with the mixture
-    m = (a + b) p + c q; the slope and the curvature are the sums of
-    a log2 a + b log2 b - 2 c log2 c - d log2 m and of -d^2 / (m ln 2), with
-    d = a + b - 2c, whose 1/ln 2 term drops out because the d sum to zero.
-    A zero m with d != 0 at p = 0 or 0.5 makes the slope infinite, with the
-    sign of d; between them m is zero only by underflow, and the row's
-    slope terms, below 1e-300, are left out.  Zero probabilities add no
-    x log2 x term.  The terms that do not depend on p are taken once per
-    rows, so each p takes one logarithm per row, which all three share."""
-    terms = []  # a log2 a + b log2 b, c log2 c, the slope's p-free term, d, a + b and c of each row
+def _symmetric_prior_terms(rows) -> tuple[float, Callable[[float], float]]:
+    """(k, p -> the rate) of the symmetric family's priors (p, p, q),
+    q = 1 - 2p, on the (outcome, letter) rows (a, b, c), in Python floats:
+    the rate, half of H(mixture) - sum_x prior_x H(letter x), is half the
+    row sum of p (a log2 a + b log2 b) + q c log2 c - m log2 m, with the
+    mixture m = (a + b) p + c q, and k the row sum of a log2 a + b log2 b -
+    2 c log2 c.  Zero probabilities add no x log2 x term."""
+    terms = []  # a log2 a + b log2 b, c log2 c, a + b and c of each row
+    k = 0.0
     for a, b, c in rows:
         ab = a * math.log2(a) if a else 0.0
         if b:
             ab += b * math.log2(b)
-        log_c = math.log2(c) if c else 0.0
-        terms.append((ab, c * log_c, ab + -2.0 * c * log_c, a + b - 2.0 * c, a + b, c))
+        cl = c * math.log2(c) if c else 0.0
+        k += ab - 2.0 * cl
+        terms.append((ab, cl, a + b, c))
 
-    def at(p: float) -> tuple[float, float, float]:
-        rate = slope = curvature = 0.0
+    def at(p: float) -> float:
+        rate = 0.0
         q = 1.0 - 2.0 * p
-        for ab, cl, row, d, s, c in terms:
+        for ab, cl, s, c in terms:
             m = s * p + c * q
             lm = math.log2(m) if m else 0.0
             rate += p * ab + q * cl - m * lm
-            slope += row
-            if d and m:
-                slope -= d * lm
-                curvature -= d * d / (m * LN2)
-            elif d and p in (0.0, 0.5):
-                slope += math.copysign(math.inf, d)
-        return rate / 2.0, slope, curvature
+        return rate / 2.0
 
-    return at
+    return k, at
 
 
-def _symmetric_prior_argmax(rows, start: float) -> tuple[float, float, int]:
+def _symmetric_prior_argmax(rows) -> tuple[float, float]:
     """The prior p in [0, 0.5] that maximizes the rate of
-    _symmetric_prior_terms(rows), that rate, and the number of kernel
-    evaluations taken.  The rate is concave in the prior at a fixed
-    measurement (Gallager 1968, sec. 4.5) and (p, p, 1 - 2p) is affine in p,
-    so the slope falls with p: p is 0.5 if the slope there is >= 0.
-    Otherwise Newton steps on the slope, from start (from 0.25 if start is
-    not inside (0, 0.5)), run inside the bracket [lo, hi] of the last points
-    with slope >= 0 and < 0, and bisect it when a step leaves it.  The
-    search stops at the point that its own Newton step leaves unchanged, or,
-    when the bracket can no longer be bisected or is to be bisected with hi
-    at or below math.ulp(0.5), at its lower end, rated by one more
-    evaluation: priors that small move the rate by less than its rounding,
-    and bisecting on would halve hi down through the subnormals."""
-    at = _symmetric_prior_terms(rows)
-    rate, slope, _ = at(0.5)
-    if slope >= 0.0:
-        return 0.5, rate, 1
-    lo, hi, evals = 0.0, 0.5, 1
-    p = start if lo < start < hi else 0.25
-    while True:
-        evals += 1
-        rate, slope, curvature = at(p)
-        step = p - slope / curvature if curvature else math.nan  # zero: linear in p, bisect
-        if step == p:  # before the bracket, which now ends at p
-            return p, rate, evals
-        lo, hi = (p, hi) if slope >= 0.0 else (lo, p)
-        if not lo < step < hi:
-            step = (lo + hi) / 2.0
-            if not lo < step < hi or hi <= math.ulp(0.5):
-                return lo, at(lo)[0], evals + 1
-        p = step
+    _symmetric_prior_terms(rows), and that rate, on a symmetric family's rows
+    (A, B, C), (B, A, C), (E, E, F), whose letters' columns sum alike.  With
+    d = A + B - 2C the mixtures are m1 = C + d p, twice, and m3 = F - 2d p,
+    and twice the rate's derivative, k + 2d log2(m3 / m1), falls with p (the
+    rate is concave in the prior, Gallager 1968, sec. 4.5) to zero at
+    p = (F - r C) / (d (2 + r)), r = 2^(-k / 2d): p is that root clipped to
+    [0, 0.5].  Both 2d are D = (A + B - 2C) - (E - F), so no d that rounds
+    to 0 alone divides, and D = 0 leaves the constant k, so p is 0.5 if
+    k >= 0, else 0."""
+    (a, b, c), _, (e, _, f) = rows
+    k, rate_at = _symmetric_prior_terms(rows)
+    diff = (a + b - 2.0 * c) - (e - f)
+    if diff == 0.0:
+        p = 0.5 if k >= 0.0 else 0.0
+    else:
+        r = 2.0 ** min(-k / diff, 1000.0)  # 2 ** t underflows to 0 but overflows past 1024
+        p = min(max(2.0 * (f - r * c) / (diff * (2.0 + r)), 0.0), 0.5)
+    return p, rate_at(p)
 
 
 def _check_open_range(gamma: Angle) -> float:
@@ -265,30 +242,24 @@ def _u_search(conditional_probs_at: Callable[[float], Callable], gamma: Angle) -
     is smooth and unimodal there, so Brent's bounded search (Brent 1973,
     ch. 5), parabolic steps safeguarded by golden sections, maximizes it
     over the scaled angle u in [U_LO, U_HI], with eta = pi/2 - u gamma taken
-    modulo pi, the family's period.  p* comes from _symmetric_prior_argmax,
-    warm-started at the previous point's p (the first at 0.25).  The search
-    is scipy's bounded scalar search (fminbound) with an absolute tolerance
-    only, tol = ETA_XATOL / gamma / 3 in u: no step is shorter than tol, a
-    parabolic step that lands within 2 tol of an end of the bracket is
-    replaced by one of length tol towards its midpoint, so the ends of the u
-    window are never evaluated, and the search stops when the best point
-    lies within 2 tol - (bracket width)/2 of the bracket's midpoint, a
-    bracket about ETA_XATOL wide in eta.  It reports x, the best point
-    evaluated, the later of equal ones; converged is False when the final
-    bracket still holds an end of the u window.  iterations counts the
-    evaluations of _symmetric_prior_terms, each of which gives the rate, the
-    slope and the curvature.
+    modulo pi, the family's period, and p* from _symmetric_prior_argmax in
+    closed form.  The search is scipy's bounded scalar search (fminbound)
+    with an absolute tolerance only, tol = ETA_XATOL / gamma / 3 in u: no
+    step is shorter than tol, a parabolic step that lands within 2 tol of an
+    end of the bracket is replaced by one of length tol towards its
+    midpoint, so the ends of the u window are never evaluated, and the
+    search stops when the best point lies within 2 tol - (bracket width)/2
+    of the bracket's midpoint, a bracket about ETA_XATOL wide in eta.  It
+    reports x, the best point evaluated, the later of equal ones; converged
+    is False when the final bracket still holds an end of the u window.
+    iterations counts the profile points, one prior solve each.
     """
     gamma_rad = _check_open_range(gamma)
     conditional_probs = conditional_probs_at(gamma_rad)
-    p, iterations = 0.25, 0
 
     def profile(u: float) -> tuple[float, dict]:  # the rate at u and its (eta, p)
-        nonlocal p, iterations
         eta = (math.pi / 2.0 - u * gamma_rad) % math.pi
-        rows = conditional_probs(eta)
-        p, rate, evals = _symmetric_prior_argmax(rows, p)
-        iterations += evals
+        p, rate = _symmetric_prior_argmax(conditional_probs(eta))
         return rate, {"eta": eta, "p": p}
 
     tol = ETA_XATOL / gamma_rad / 3.0
@@ -298,6 +269,7 @@ def _u_search(conditional_probs_at: Callable[[float], Callable], gamma: Angle) -
     x = w = v = lo + golden * (hi - lo)
     fx, x_params = profile(x)
     fw = fv = fx
+    iterations = 1
     step = previous = 0.0  # the last step and the one before it
     while abs(x - (lo + hi) / 2.0) > 2.0 * tol - (hi - lo) / 2.0:
         mid = (lo + hi) / 2.0
@@ -321,6 +293,7 @@ def _u_search(conditional_probs_at: Callable[[float], Callable], gamma: Angle) -
             step = golden * previous
         u = x + math.copysign(max(abs(step), tol), step)
         fu, u_params = profile(u)
+        iterations += 1
         if fu >= fx:  # so x is the best point, the later of equal ones
             lo, hi = (x, hi) if u >= x else (lo, x)
             v, fv, w, fw, x, fx, x_params = w, fw, x, fx, u, fu, u_params

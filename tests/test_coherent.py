@@ -45,7 +45,30 @@ def general_kernel_prior_rates(probs, ps):
 def prior_rate(rows, p):
     """The symmetric family's rate at prior p on the (outcome, letter) rows,
     from the prior solver's kernel."""
-    return _symmetric_prior_terms(rows)(p)[0]
+    return _symmetric_prior_terms(rows)[1](p)
+
+
+def assert_prior_is_the_argmax(rows, p):
+    """p maximizes the rate by its 40-digit slope: zero inside (0, 0.5),
+    >= 0 at p = 0.5 and <= 0 at p = 0, each to within a float slope's
+    rounding, 16 eps times the sizes of its terms, counting
+    (a + b + 2c) (|log2 m| + 2) for d log2 m, whose d and m round.  At
+    1e-3 deg that admits p about 3e-8 from the exact root."""
+    with mpmath.workdps(40):
+        xlog2x = lambda x: x * mpmath.log(x, 2) if x else 0  # noqa: E731
+        exact = size = 0
+        for a, b, c in (map(mpmath.mpf, row) for row in rows):
+            log2m = mpmath.log((a + b) * p + c * (1 - 2 * mpmath.mpf(p)), 2)
+            exact += xlog2x(a) + xlog2x(b) - 2 * xlog2x(c) - (a + b - 2 * c) * log2m
+            size += (abs(xlog2x(a)) + abs(xlog2x(b)) + 2 * abs(xlog2x(c))
+                     + (a + b + 2 * c) * (abs(log2m) + 2))
+        tolerance = 16 * 2.0**-52 * size
+        if p == 0.5:
+            assert exact >= -tolerance
+        elif p == 0.0:
+            assert exact <= tolerance
+        else:
+            assert abs(exact) <= tolerance
 
 
 def span_rows(eta, a, b, c):
@@ -376,16 +399,15 @@ SYMMETRIC_OPTIMIZERS = [(_ideal_conditional_probs, optimize_r2),
                         (_trunc_conditional_probs, optimize_r2_truncated)]
 
 
-@pytest.mark.parametrize("gamma_deg", [d for d in PARAMS_ANGLES if d >= 0.05] + GRID_P_ANGLES)
+@pytest.mark.parametrize("gamma_deg", PARAMS_ANGLES + GRID_P_ANGLES)
 def test_symmetric_optimizers_report_the_exact_prior(gamma_deg):
-    # p is p*(eta) at the reported eta, as a cold prior search finds it (the
-    # two agree to 6e-17 at these angles).  Below 0.05 deg the slope's sign
-    # is rounding noise.
+    # p is p*(eta) at the reported eta: the 40-digit slope vanishes there,
+    # using at most 0.27 of the helper's rounding bound at these angles
     g = deg(gamma_deg)
     for conditional_probs_at, optimize in SYMMETRIC_OPTIMIZERS:
         result = optimize(g)
-        rows = conditional_probs_at(g.radians)(result.params["eta"])
-        assert abs(result.params["p"] - _symmetric_prior_argmax(rows, 0.25)[0]) <= 1e-9
+        assert_prior_is_the_argmax(conditional_probs_at(g.radians)(result.params["eta"]),
+                                   result.params["p"])
 
 
 @pytest.mark.parametrize("gamma_deg", [0.2, 0.1, 0.05])
@@ -468,24 +490,21 @@ CLIPPED_RATES_AT_FIXED_ETA = [
 @pytest.mark.parametrize("gamma_deg, eta, r2trunc", CLIPPED_RATES_AT_FIXED_ETA)
 def test_clipped_rate_pinned_at_a_fixed_eta(gamma_deg, eta, r2trunc):
     rows = _trunc_conditional_probs(deg(gamma_deg).radians)(eta)
-    p, _, _ = _symmetric_prior_argmax(rows, 0.25)
-    assert prior_rate(rows, p) == pytest.approx(r2trunc, rel=0, abs=1e-13)
+    p, rate = _symmetric_prior_argmax(rows)
+    assert rate == prior_rate(rows, p) == pytest.approx(r2trunc, rel=0, abs=1e-13)
 
 
 def golden_u_search(conditional_probs, gamma_rad):
     """(rate, eta) of the best point of a golden-section search (Kiefer 1953)
     over the scaled angle u in [U_LO, U_HI], eta = pi/2 - u gamma, with the
-    prior solved at each point and warm-started as in twoshot._u_search,
-    stopping when its inner points are ETA_XATOL apart in eta: the oracle of
-    the u search's Brent steps, the search that they replaced."""
-    p = 0.25
+    prior solved at each point as in twoshot._u_search, stopping when its
+    inner points are ETA_XATOL apart in eta: the oracle of the u search's
+    Brent steps, the search that they replaced."""
     evaluated = []  # (rate, eta)
 
     def profile(u):
-        nonlocal p
         eta = (math.pi / 2 - u * gamma_rad) % math.pi
-        rows = conditional_probs(eta)
-        p, rate, _ = _symmetric_prior_argmax(rows, p)
+        _, rate = _symmetric_prior_argmax(conditional_probs(eta))
         evaluated.append((rate, eta))
         return evaluated[-1][0]
 
